@@ -1,0 +1,19 @@
+//! Records the compiler version and build profile, so every benchmark
+//! result says what produced it.
+
+use std::process::Command;
+
+fn main() {
+    let rustc = std::env::var("RUSTC").unwrap_or_else(|_| "rustc".into());
+    let version = Command::new(rustc)
+        .arg("--version")
+        .output()
+        .ok()
+        .filter(|o| o.status.success())
+        .map(|o| String::from_utf8_lossy(&o.stdout).trim().to_string())
+        .unwrap_or_else(|| "unknown".into());
+    let profile = std::env::var("PROFILE").unwrap_or_else(|_| "unknown".into());
+    println!("cargo:rustc-env=SIMBENCH_RUSTC={version}");
+    println!("cargo:rustc-env=SIMBENCH_PROFILE={profile}");
+    println!("cargo:rerun-if-changed=build.rs");
+}
