@@ -21,7 +21,7 @@
 //! see the `janus-prof` binary for the full profiling workflow).
 
 use janus_bench::cli::{arg, flag};
-use janus_bench::{run_all, RunSpec, Variant};
+use janus_bench::{run_all, RunSpec, SweepArgs, Variant};
 use janus_bmo::BmoStack;
 use janus_workloads::Workload;
 
@@ -138,7 +138,7 @@ fn main() {
             s
         })
         .collect();
-    for result in run_all(specs) {
+    for result in run_all("janus-cli", specs, &SweepArgs::parse()) {
         if let Some(path) = &profile_path {
             let config = result.spec.config();
             let graph = config.stack().graph(&config.latencies);

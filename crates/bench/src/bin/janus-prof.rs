@@ -20,7 +20,7 @@
 //! reconstruction is broken, and the binary refuses to continue.
 
 use janus_bench::cli::arg;
-use janus_bench::{arg_usize, run_quiet, RunSpec, Variant};
+use janus_bench::{arg_usize, run, RunSpec, SweepArgs, Variant};
 use janus_core::controller::MemoryController;
 use janus_core::{JanusConfig, SystemMode};
 use janus_nvm::addr::LineAddr;
@@ -92,8 +92,9 @@ fn main() {
     spec.seed = arg_usize("--seed", 42) as u64;
     spec.profile = true;
     spec.sample_every = Some(arg_usize("--sample", 2000) as u64);
+    SweepArgs::parse().apply(std::slice::from_mut(&mut spec));
 
-    let result = run_quiet(spec);
+    let result = run(spec);
     let config = result.spec.config();
     let graph = config.stack().graph(&config.latencies);
     let profile = Profile::build(&result.tracer.snapshot(), result.tracer.dropped(), &graph)

@@ -1,7 +1,7 @@
 //! General spec-grid sweep driver: workloads × variants at a fixed core
 //! count, through the shared sweep engine.
 //!
-//! Unlike the figure binaries (each pinned to one published plot), this is
+//! Unlike the `janus-fig` entries (each pinned to one published plot), this is
 //! the open-ended driver for ad-hoc grids: pick workloads (`--workloads`
 //! CSV of slugs), variants (`--variants` CSV), `--tx`, `--cores`, and
 //! `--seed`, and get one row per point with cycles, throughput, and speedup
@@ -11,7 +11,7 @@
 
 use janus_bench::cli::arg_str;
 use janus_bench::cli::arg_u64;
-use janus_bench::{arg_usize, banner, row, run_all, RunSpec, Variant};
+use janus_bench::{arg_usize, banner, row, run_all, RunSpec, SweepArgs, Variant};
 use janus_workloads::Workload;
 
 /// The sweepable variants by slug (the grid's first entry is the speedup
@@ -76,7 +76,7 @@ fn main() {
             specs.push(s);
         }
     }
-    let results = run_all(specs);
+    let results = run_all("janus-sweep", specs, &SweepArgs::parse());
 
     banner(
         "janus-sweep — workload x variant grid",

@@ -19,7 +19,7 @@
 //! `--jobs` fan-out.
 
 use janus_bench::cli::{arg, arg_u64, flag};
-use janus_bench::{arg_usize, banner, row, run_all, OpenLoopSpec, RunSpec, Variant};
+use janus_bench::{arg_usize, banner, row, run_all, OpenLoopSpec, RunSpec, SweepArgs, Variant};
 use janus_core::irb::IrbPolicy;
 use janus_sim::time::Cycles;
 use janus_workloads::traffic::{digest, generate_tenants, Arrival};
@@ -162,7 +162,7 @@ fn main() {
             }
         }
     }
-    let results = run_all(specs);
+    let results = run_all("multicore", specs, &SweepArgs::parse());
 
     for r in &results {
         let ol = r.spec.open_loop.as_ref().expect("open-loop spec");

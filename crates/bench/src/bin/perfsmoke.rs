@@ -34,14 +34,14 @@
 
 use janus_bench::cli::arg_str;
 use janus_bench::timing::median_wall_ms;
-use janus_bench::{arg_usize, banner, jobs, run_all_jobs, run_timed, RunSpec, Variant};
+use janus_bench::{arg_usize, banner, run_all_jobs, run_timed, RunSpec, SweepArgs, Variant};
 use janus_sim::event::{EventQueue, HeapEventQueue};
 use janus_sim::stats::Reservoir;
 use janus_sim::time::Cycles;
 use janus_trace::metrics::MetricsRegistry;
 use janus_workloads::Workload;
 
-fn sweep_specs(tx: usize) -> Vec<RunSpec> {
+fn sweep_specs(tx: usize, sweep: &SweepArgs) -> Vec<RunSpec> {
     let mut specs = Vec::new();
     for w in [Workload::Tatp, Workload::HashTable, Workload::ArraySwap] {
         for v in [
@@ -54,6 +54,7 @@ fn sweep_specs(tx: usize) -> Vec<RunSpec> {
             specs.push(s);
         }
     }
+    sweep.apply(&mut specs);
     specs
 }
 
@@ -124,7 +125,8 @@ fn main() {
     let warmup = arg_usize("--warmup", 1);
     let out_path = arg_str("--out", "BENCH_perfsmoke.json");
     let host = std::thread::available_parallelism().map_or(1, |n| n.get());
-    let n_jobs = match jobs() {
+    let sweep = SweepArgs::parse();
+    let n_jobs = match sweep.jobs {
         1 => host,
         n => n,
     };
@@ -142,6 +144,7 @@ fn main() {
     // histogram bucket.
     let mut spec = RunSpec::new(Workload::Tatp, Variant::JanusManual);
     spec.transactions = tx;
+    sweep.apply(std::slice::from_mut(&mut spec));
     let first = run_timed(spec.clone()).0;
     let events = first.report.events;
     let (sched_hits, sched_misses) = first.report.sched_cache;
@@ -198,9 +201,11 @@ fn main() {
     // "speedup" is pure thread-pool overhead plus timer noise (observed
     // 0.9957x), so we skip the serial leg and omit the ratio entirely.
     let fanout_meaningful = host > 1;
-    let sweep_wall_ms = median_wall_ms(warmup, samples, || run_all_jobs(sweep_specs(tx), n_jobs));
+    let sweep_wall_ms = median_wall_ms(warmup, samples, || {
+        run_all_jobs(sweep_specs(tx, &sweep), n_jobs)
+    });
     let sweep_serial_ms = if fanout_meaningful {
-        let serial = median_wall_ms(warmup, samples, || run_all_jobs(sweep_specs(tx), 1));
+        let serial = median_wall_ms(warmup, samples, || run_all_jobs(sweep_specs(tx, &sweep), 1));
         println!(
             "sweep (9 specs): {serial:.1} ms at --jobs 1 vs {sweep_wall_ms:.1} ms at --jobs {n_jobs}  ({:.2}x)",
             serial / sweep_wall_ms

@@ -1,10 +1,12 @@
-//! Shared command-line parsing for the figure/table binaries.
+//! Shared command-line parsing for the bench binaries.
 //!
-//! Every bench binary takes `--name value` pairs from `std::env::args`;
-//! before this module each binary carried its own copy of the same three
-//! helpers. The strict validator ([`require_known_args`]) makes a typo a
-//! hard usage error (exit status 2) instead of a silently default-configured
-//! "result".
+//! Every bench binary takes `--name value` pairs from `std::env::args`. The
+//! strict validator ([`require_known_args`]) makes a typo a hard usage error
+//! (exit status 2) instead of a silently default-configured "result", and
+//! [`SweepArgs::parse`] reads the sweep options every spec-running binary
+//! shares.
+
+use crate::RunSpec;
 
 /// Reads the value following `--name`, if present.
 pub fn arg(name: &str) -> Option<String> {
@@ -31,70 +33,136 @@ pub fn arg_str(name: &str, default: &str) -> String {
 /// a hard usage error: the process exits with status 2 rather than
 /// silently running the experiment with the default.
 pub fn arg_usize(name: &str, default: usize) -> usize {
-    parse_or_exit(name, default, "an unsigned integer")
+    parse_arg(name, "an unsigned integer").unwrap_or(default)
+}
+
+/// [`arg_usize`] for counts that must be at least 1 (`--tx`, `--jobs`,
+/// `--shards`): `None` when absent, and a zero value is a usage error too.
+pub fn arg_positive(name: &str) -> Option<usize> {
+    let what = "a positive integer";
+    match parse_arg(name, what) {
+        Some(0) => usage_error(&format!("{name} requires {what} value")),
+        n => n,
+    }
 }
 
 /// [`arg_usize`] for `u64` values (seeds, cycle counts).
 pub fn arg_u64(name: &str, default: u64) -> u64 {
-    parse_or_exit(name, default, "an unsigned integer")
+    parse_arg(name, "an unsigned integer").unwrap_or(default)
 }
 
 /// [`arg_usize`] for floating-point values (ratios, skew parameters).
 pub fn arg_f64(name: &str, default: f64) -> f64 {
-    parse_or_exit(name, default, "a number")
+    parse_arg(name, "a number").unwrap_or(default)
 }
 
-fn parse_or_exit<T: std::str::FromStr>(name: &str, default: T, what: &str) -> T {
+fn parse_arg<T: std::str::FromStr>(name: &str, what: &str) -> Option<T> {
     let args: Vec<String> = std::env::args().collect();
-    let Some(i) = args.iter().position(|a| a == name) else {
-        return default;
-    };
+    let i = args.iter().position(|a| a == name)?;
     match args.get(i + 1).map(|v| v.parse()) {
-        Some(Ok(v)) => v,
-        _ => {
-            eprintln!("error: {name} requires {what} value");
-            std::process::exit(2);
+        Some(Ok(v)) => Some(v),
+        _ => usage_error(&format!("{name} requires {what} value")),
+    }
+}
+
+fn usage_error(msg: &str) -> ! {
+    eprintln!("error: {msg}");
+    std::process::exit(2);
+}
+
+/// The sweep options every spec-running binary accepts, read from the
+/// process arguments once.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct SweepArgs {
+    /// Worker threads: `--jobs N`, else `JANUS_JOBS`, else 1.
+    pub jobs: usize,
+    /// Worker processes: `--shards N`, else `JANUS_SHARDS`, else 1.
+    pub shards: usize,
+    /// `--legacy-events`: run the one-event-at-a-time dispatch loop
+    /// ([`RunSpec::legacy_events`]).
+    pub legacy_events: bool,
+    /// `--interpreted-sched`: force the interpreted sub-op scheduler
+    /// ([`RunSpec::interpreted_sched`]).
+    pub interpreted_sched: bool,
+}
+
+impl SweepArgs {
+    /// Parses the process arguments. A malformed or zero `--jobs`/`--shards`
+    /// value exits with status 2; the environment fallbacks ignore
+    /// malformed values, as they always have.
+    pub fn parse() -> Self {
+        let fan_out = |name: &str, var: &str| {
+            arg_positive(name).unwrap_or_else(|| {
+                std::env::var(var)
+                    .ok()
+                    .and_then(|v| v.parse().ok())
+                    .filter(|&n| n >= 1)
+                    .unwrap_or(1)
+            })
+        };
+        SweepArgs {
+            jobs: fan_out("--jobs", "JANUS_JOBS"),
+            shards: fan_out("--shards", "JANUS_SHARDS"),
+            legacy_events: flag("--legacy-events"),
+            interpreted_sched: flag("--interpreted-sched"),
+        }
+    }
+
+    /// Switches every spec to the twin paths these options request (a
+    /// switch already set on a spec stays set).
+    pub fn apply(&self, specs: &mut [RunSpec]) {
+        for s in specs {
+            s.legacy_events |= self.legacy_events;
+            s.interpreted_sched |= self.interpreted_sched;
         }
     }
 }
 
-/// Strict argument validation for the figure/table binaries: every token
-/// must be a known value-taking flag (followed by its value), a known
-/// boolean flag, or one of the globally honoured flags (`--jobs N`,
-/// `--shards N`, `--legacy-events`, `--interpreted-sched`). Anything else —
-/// an unknown flag, a stray positional, a value-taking flag at the end of
-/// the line — exits with status 2 and a usage message, so a typo can never
-/// silently produce default-configured "results".
+/// Strict argument validation: every token must be a known value-taking
+/// flag (followed by its value), a known boolean flag, or one of the
+/// [`SweepArgs`] flags (`--jobs N`, `--shards N`, `--legacy-events`,
+/// `--interpreted-sched`). Anything else — an unknown flag, a stray
+/// positional, a value-taking flag at the end of the line — exits with
+/// status 2 and a usage message, so a typo can never silently produce
+/// default-configured "results".
 pub fn require_known_args(value_flags: &[&str], bool_flags: &[&str]) {
-    let args: Vec<String> = std::env::args().collect();
-    let mut i = 1;
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    check_args(&args, value_flags, bool_flags);
+}
+
+/// [`require_known_args`] over an explicit argument list (the process
+/// arguments after any positionals the binary consumed itself).
+pub fn check_args(args: &[String], value_flags: &[&str], bool_flags: &[&str]) {
+    let value_flags: Vec<&str> = value_flags
+        .iter()
+        .copied()
+        .chain(["--jobs", "--shards"])
+        .collect();
+    let bool_flags: Vec<&str> = bool_flags
+        .iter()
+        .copied()
+        .chain(["--legacy-events", "--interpreted-sched"])
+        .collect();
     let usage = |msg: &str| -> ! {
         let mut flags: Vec<String> = value_flags
             .iter()
-            .chain(["--jobs", "--shards"].iter())
             .map(|f| format!("{f} <value>"))
             .chain(bool_flags.iter().map(|f| f.to_string()))
-            .chain([
-                "--legacy-events".to_string(),
-                "--interpreted-sched".to_string(),
-            ])
             .collect();
         flags.sort();
         eprintln!("error: {msg}");
         eprintln!("usage: accepted arguments: {}", flags.join(" "));
         std::process::exit(2);
     };
+    let mut i = 0;
     while i < args.len() {
-        let a = &args[i];
-        if value_flags.contains(&a.as_str()) || a == "--jobs" || a == "--shards" {
+        let a = args[i].as_str();
+        if value_flags.contains(&a) {
             if i + 1 >= args.len() || args[i + 1].starts_with("--") {
                 usage(&format!("{a} requires a value"));
             }
             i += 2;
-        } else if bool_flags.contains(&a.as_str())
-            || a == "--legacy-events"
-            || a == "--interpreted-sched"
-        {
+        } else if bool_flags.contains(&a) {
             i += 1;
         } else {
             usage(&format!("unknown argument {a:?}"));

@@ -1,6 +1,7 @@
 //! # janus-bench — the experiment harness
 //!
-//! One binary per table/figure of the paper's evaluation (see DESIGN.md §5
+//! Every table/figure of the paper's evaluation is an entry of the
+//! [`figures`] registry, run by the `janus-fig` binary (see DESIGN.md §5
 //! for the index). This library holds the shared runner: it builds the
 //! configured system, generates one workload instance per core, applies the
 //! requested instrumentation (manual, automated compiler pass, or none),
@@ -8,6 +9,7 @@
 //! workload's oracle, and returns the execution report.
 
 pub mod cli;
+pub mod figures;
 pub mod pool;
 pub mod shard;
 pub mod timing;
@@ -24,8 +26,7 @@ use janus_trace::{TraceConfig, Tracer};
 use janus_workloads::traffic::{generate_tenants, Arrival, TenantSpec};
 use janus_workloads::{generate, Instrumentation, Workload, WorkloadConfig};
 
-pub use cli::{arg_usize, require_known_args};
-pub use shard::shards;
+pub use cli::{arg_usize, require_known_args, SweepArgs};
 
 /// The five evaluated system variants.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
@@ -125,7 +126,7 @@ pub struct RunSpec {
     /// with `spec.bmo_stack`.
     pub bmo_stack: Option<Vec<janus_bmo::BmoId>>,
     /// Run the one-event-at-a-time legacy dispatch loop instead of the
-    /// batched one (`--legacy-events` / `JANUS_LEGACY_EVENTS=1`). Both paths
+    /// batched one (`--legacy-events`, see [`SweepArgs`]). Both paths
     /// must produce byte-identical reports; this is the executable spec the
     /// batched loop is differentially tested against.
     pub legacy_events: bool,
@@ -135,7 +136,7 @@ pub struct RunSpec {
     /// closed-loop JSONL stays byte-identical).
     pub irb_policy: IrbPolicy,
     /// Force the engine's interpreted scheduler instead of compiled-template
-    /// replay (`--interpreted-sched` / `JANUS_INTERPRETED_SCHED=1`). Both
+    /// replay (`--interpreted-sched`, see [`SweepArgs`]). Both
     /// paths must produce byte-identical reports; this is the executable
     /// spec the compiled path is differentially tested against.
     pub interpreted_sched: bool,
@@ -178,9 +179,9 @@ impl RunSpec {
             profile: false,
             sample_every: None,
             bmo_stack: None,
-            legacy_events: legacy_events(),
+            legacy_events: false,
             irb_policy: IrbPolicy::Shared,
-            interpreted_sched: interpreted_sched(),
+            interpreted_sched: false,
             open_loop: None,
         }
     }
@@ -322,30 +323,29 @@ impl RunResult {
     }
 }
 
-/// When `JANUS_RESULTS_JSON_DIR` names a directory, appends the run's
-/// metrics as one JSON line to `<dir>/<binary-name>.jsonl`. Every figure
-/// binary funnels through [`run`], so exporting machine-readable results
-/// for all of them is `JANUS_RESULTS_JSON_DIR=out cargo run --release ...`.
-pub(crate) fn sink_results_jsonl(result: &RunResult) {
+/// When `JANUS_RESULTS_JSON_DIR` names a directory, appends each result's
+/// metrics as one JSON line to `<dir>/<name>.jsonl`, in order. [`run_all`]
+/// calls this with the name of the figure or tool running the sweep, so
+/// exporting machine-readable results for all of them is
+/// `JANUS_RESULTS_JSON_DIR=out cargo run --release ...`.
+fn sink_results_jsonl(name: &str, results: &[RunResult]) {
     let Ok(dir) = std::env::var("JANUS_RESULTS_JSON_DIR") else {
         return;
     };
-    if dir.is_empty() {
+    if dir.is_empty() || results.is_empty() {
         return;
     }
-    let stem = std::env::current_exe()
-        .ok()
-        .and_then(|p| p.file_stem().map(|s| s.to_string_lossy().into_owned()))
-        .unwrap_or_else(|| "run".to_string());
-    let path = std::path::Path::new(&dir).join(format!("{stem}.jsonl"));
-    let line = result.metrics().to_json();
+    let path = std::path::Path::new(&dir).join(format!("{name}.jsonl"));
     let append = || -> std::io::Result<()> {
         std::fs::create_dir_all(&dir)?;
         let mut f = std::fs::OpenOptions::new()
             .create(true)
             .append(true)
             .open(&path)?;
-        writeln!(f, "{line}")
+        for r in results {
+            writeln!(f, "{}", r.metrics().to_json())?;
+        }
+        Ok(())
     };
     if let Err(e) = append() {
         eprintln!(
@@ -362,27 +362,29 @@ pub(crate) fn sink_results_jsonl(result: &RunResult) {
 /// Panics if the simulated NVM contents differ from the workload's expected
 /// final state — the harness refuses to report numbers from a broken run.
 pub fn run(spec: RunSpec) -> RunResult {
-    let result = run_quiet(spec);
-    sink_results_jsonl(&result);
-    result
-}
-
-/// [`run`] without the JSONL side effect: the sweep engine executes specs
-/// on worker threads with this and sinks metrics from the coordinating
-/// thread in spec order, keeping exported files byte-identical at any
-/// worker count.
-pub fn run_quiet(spec: RunSpec) -> RunResult {
     run_timed(spec).0
 }
 
-/// [`run_quiet`] plus the wall-clock seconds the *event loop proper* took —
+/// [`run`] on a hand-modified configuration instead of
+/// [`RunSpec::config`], for ablations of knobs no spec field exposes. The
+/// result's metrics still describe `spec`, so such runs are not exported.
+pub fn run_with_config(spec: RunSpec, config: JanusConfig) -> RunResult {
+    run_timed_with(spec, config).0
+}
+
+/// [`run`] plus the wall-clock seconds the *event loop proper* took —
 /// `System::try_run`/`try_run_tenants` only, excluding workload generation,
 /// system construction, and oracle verification. This is `perfsmoke`'s
 /// events-per-second denominator's counterpart: the events/sec metric is
 /// honest only if the numerator's wall time covers exactly the loop that
 /// processed those events.
 pub fn run_timed(spec: RunSpec) -> (RunResult, f64) {
-    let mut sys = System::new(spec.config());
+    let config = spec.config();
+    run_timed_with(spec, config)
+}
+
+fn run_timed_with(spec: RunSpec, config: JanusConfig) -> (RunResult, f64) {
+    let mut sys = System::new(config);
     sys.set_batched(!spec.legacy_events);
     let tracer = if spec.profile {
         let cfg = spec
@@ -466,63 +468,29 @@ pub fn run_timed(spec: RunSpec) -> (RunResult, f64) {
     )
 }
 
-/// Worker count for sweep fan-out: `--jobs N` process argument, else the
-/// `JANUS_JOBS` environment variable, else 1 (serial). Every figure/table
-/// binary funnels its sweep through [`run_all`], so
-/// `cargo run --release --bin fig9 -- --jobs 8` (or `JANUS_JOBS=8` for a
-/// whole `scripts/regen_results.sh` invocation) parallelizes it.
-pub fn jobs() -> usize {
-    let args: Vec<String> = std::env::args().collect();
-    args.iter()
-        .position(|a| a == "--jobs")
-        .and_then(|i| args.get(i + 1))
-        .and_then(|v| v.parse().ok())
-        .or_else(|| {
-            std::env::var("JANUS_JOBS")
-                .ok()
-                .and_then(|v| v.parse().ok())
-        })
-        .filter(|&j| j >= 1)
-        .unwrap_or(1)
+/// Runs a batch of independent specs under the [`SweepArgs`] options —
+/// fanned across `jobs` worker threads and, under `--shards N`, across N
+/// worker *processes* ([`shard`]), with the twin-path switches applied to
+/// every spec. When `JANUS_RESULTS_JSON_DIR` names a directory, each
+/// result's metrics are appended to `<dir>/<name>.jsonl`. Results come back
+/// in spec order; output is byte-identical at any shard and worker count.
+pub fn run_all(name: &str, mut specs: Vec<RunSpec>, args: &SweepArgs) -> Vec<RunResult> {
+    args.apply(&mut specs);
+    let results = match shard::maybe_run_sharded(&specs, args) {
+        Some(results) => results,
+        None => run_all_jobs(specs, args.jobs),
+    };
+    sink_results_jsonl(name, &results);
+    results
 }
 
-/// Whether runs should use the legacy one-event-at-a-time dispatch loop:
-/// `--legacy-events` process argument or `JANUS_LEGACY_EVENTS=1`. Accepted
-/// by every figure/table binary (like `--jobs`) so any published result can
-/// be regenerated through the pre-batching event loop for comparison.
-pub fn legacy_events() -> bool {
-    std::env::args().any(|a| a == "--legacy-events")
-        || std::env::var("JANUS_LEGACY_EVENTS").is_ok_and(|v| v == "1")
-}
-
-/// Whether runs should force the engine's interpreted sub-op scheduler
-/// instead of compiled-template replay: `--interpreted-sched` process
-/// argument or `JANUS_INTERPRETED_SCHED=1`. Accepted by every figure/table
-/// binary (like `--legacy-events`) so any published result can be
-/// regenerated through the pre-compilation scheduler for comparison.
-pub fn interpreted_sched() -> bool {
-    std::env::args().any(|a| a == "--interpreted-sched")
-        || std::env::var("JANUS_INTERPRETED_SCHED").is_ok_and(|v| v == "1")
-}
-
-/// Runs a batch of independent specs fanned across [`jobs`] worker threads
-/// — and, under `--shards N` / `JANUS_SHARDS`, across N worker *processes*
-/// ([`shard::shards`]) — returning results in spec order. Output is
-/// byte-identical at any shard and worker count.
-pub fn run_all(specs: Vec<RunSpec>) -> Vec<RunResult> {
-    if let Some(results) = shard::maybe_run_sharded(&specs) {
-        return results;
-    }
-    run_all_jobs(specs, jobs())
-}
-
-/// [`run_all`] with an explicit worker count.
+/// Runs specs across `jobs` worker threads, returning results in spec
+/// order. Writes no files.
 ///
 /// Output is byte-identical at any worker count: each simulation is a
-/// sealed deterministic timeline (parallelism never reaches inside one),
-/// results come back in spec order, and JSONL metrics are sunk from the
-/// coordinating thread in that same order. Traced specs hold a non-`Send`
-/// ring buffer, so a batch containing one falls back to in-order sequential
+/// sealed deterministic timeline (parallelism never reaches inside one) and
+/// results come back in spec order. Traced specs hold a non-`Send` ring
+/// buffer, so a batch containing one falls back to in-order sequential
 /// execution — identical output, just not fanned out.
 pub fn run_all_jobs(specs: Vec<RunSpec>, jobs: usize) -> Vec<RunResult> {
     if jobs <= 1 || specs.len() <= 1 || specs.iter().any(|s| s.trace.is_some() || s.profile) {
@@ -531,20 +499,16 @@ pub fn run_all_jobs(specs: Vec<RunSpec>, jobs: usize) -> Vec<RunResult> {
     // Workers return only `Send` parts; the tracer slot is refilled with a
     // disabled handle on the way out (untraced runs never record anyway).
     let reports = pool::parallel_map(specs, jobs, |spec| {
-        let r = run_quiet(spec);
+        let r = run(spec);
         (r.report, r.spec, r.samples)
     });
     reports
         .into_iter()
-        .map(|(report, spec, samples)| {
-            let result = RunResult {
-                report,
-                spec,
-                tracer: Tracer::disabled(),
-                samples,
-            };
-            sink_results_jsonl(&result);
-            result
+        .map(|(report, spec, samples)| RunResult {
+            report,
+            spec,
+            tracer: Tracer::disabled(),
+            samples,
         })
         .collect()
 }

@@ -1,11 +1,11 @@
 //! Multi-process sharded sweep coordination (`--shards N` / `JANUS_SHARDS`).
 //!
-//! [`maybe_run_sharded`] lets a figure/table binary fan its spec list across
-//! `N` worker *processes* (re-executions of the same binary), each running
-//! the specs whose index is `i % N == k` and streaming its
+//! `maybe_run_sharded` lets a bench binary fan its spec list across `N`
+//! worker *processes* (re-executions of the same binary), each running the
+//! specs whose index is `i % N == k` and streaming its
 //! [`ExecutionReport`]s back through a checksummed shard file. The parent
-//! merges the shards back into spec order and sinks JSONL itself, so the
-//! output — table text and metrics files alike — is byte-identical to a
+//! merges the shards back into spec order and [`crate::run_all`] sinks
+//! JSONL in the parent only, so the output — table text and metrics files alike — is byte-identical to a
 //! serial run: each simulation is a sealed deterministic timeline, and the
 //! merge only reorders completed reports, never numbers.
 //!
@@ -14,7 +14,7 @@
 //! * The parent spawns `current_exe()` with the *same* arguments plus
 //!   `JANUS_SHARD_INDEX=k`, `JANUS_SHARD_COUNT=N`, and `JANUS_SHARD_DIR`
 //!   (a scratch directory). `JANUS_RESULTS_JSON_DIR` is removed from the
-//!   children so only the parent sinks metrics, in order.
+//!   children.
 //! * Each child re-executes `main` deterministically up to the first
 //!   shardable [`crate::run_all`] call, runs its subset, writes
 //!   `shard-<k>.janus`, and exits 0 without printing its tables.
@@ -27,7 +27,7 @@
 //!
 //! Sharding engages only for the binary's first `run_all` call with more
 //! than one spec and no tracing/profiling/sampling (a ring-buffer tracer
-//! cannot cross a process boundary); every figure binary makes at most one
+//! cannot cross a process boundary); every bench binary makes at most one
 //! such call. `JANUS_SHARD_CORRUPT=k` makes child `k` truncate its shard
 //! file — the red path the CI gate locks down.
 
@@ -40,31 +40,12 @@ use janus_core::system::{ExecutionReport, TenantReport};
 use janus_sim::time::Cycles;
 use janus_trace::Tracer;
 
-use crate::{jobs, run_all_jobs, RunResult, RunSpec};
+use crate::{run_all_jobs, RunResult, RunSpec, SweepArgs};
 
 const ENV_INDEX: &str = "JANUS_SHARD_INDEX";
 const ENV_COUNT: &str = "JANUS_SHARD_COUNT";
 const ENV_DIR: &str = "JANUS_SHARD_DIR";
 const ENV_CORRUPT: &str = "JANUS_SHARD_CORRUPT";
-
-/// Shard count for sweep fan-out: `--shards N` process argument, else the
-/// `JANUS_SHARDS` environment variable, else 1 (in-process). Accepted by
-/// every figure/table binary (like `--jobs`); the two compose — each worker
-/// process still honours `--jobs` for its own thread fan-out.
-pub fn shards() -> usize {
-    let args: Vec<String> = std::env::args().collect();
-    args.iter()
-        .position(|a| a == "--shards")
-        .and_then(|i| args.get(i + 1))
-        .and_then(|v| v.parse().ok())
-        .or_else(|| {
-            std::env::var("JANUS_SHARDS")
-                .ok()
-                .and_then(|v| v.parse().ok())
-        })
-        .filter(|&s| s >= 1)
-        .unwrap_or(1)
-}
 
 /// Whether this spec list can cross a process boundary: more than one spec
 /// (otherwise there is nothing to partition) and no tracer, profiler, or
@@ -85,7 +66,7 @@ static ENGAGED: AtomicBool = AtomicBool::new(false);
 /// satisfied by the sharded coordinator (parent role), `None` to run
 /// in-process. In a child process this never returns — the child writes its
 /// shard file and exits.
-pub(crate) fn maybe_run_sharded(specs: &[RunSpec]) -> Option<Vec<RunResult>> {
+pub(crate) fn maybe_run_sharded(specs: &[RunSpec], args: &SweepArgs) -> Option<Vec<RunResult>> {
     if !eligible(specs) {
         return None;
     }
@@ -99,24 +80,23 @@ pub(crate) fn maybe_run_sharded(specs: &[RunSpec]) -> Option<Vec<RunResult>> {
         }
         let idx: usize = idx.parse().expect("well-formed JANUS_SHARD_INDEX");
         let count: usize = count.parse().expect("well-formed JANUS_SHARD_COUNT");
-        run_child(specs, idx, count, Path::new(&dir));
+        run_child(specs, idx, count, Path::new(&dir), args.jobs);
     }
-    let n = shards();
-    if n <= 1 || ENGAGED.swap(true, Ordering::SeqCst) {
+    if args.shards <= 1 || ENGAGED.swap(true, Ordering::SeqCst) {
         return None;
     }
-    Some(run_parent(specs, n.min(specs.len())))
+    Some(run_parent(specs, args.shards.min(specs.len())))
 }
 
 /// Child role: run this shard's subset and stream it back. Never returns.
-fn run_child(specs: &[RunSpec], idx: usize, count: usize, dir: &Path) -> ! {
+fn run_child(specs: &[RunSpec], idx: usize, count: usize, dir: &Path, jobs: usize) -> ! {
     let mine: Vec<RunSpec> = specs
         .iter()
         .enumerate()
         .filter(|(i, _)| i % count == idx)
         .map(|(_, s)| s.clone())
         .collect();
-    let results = run_all_jobs(mine, jobs());
+    let results = run_all_jobs(mine, jobs);
     let mut body = format!("janus-shard-v1 {idx} {count} {}\n", results.len());
     let mut sum = Fnv::new();
     for r in &results {
@@ -143,8 +123,8 @@ fn run_child(specs: &[RunSpec], idx: usize, count: usize, dir: &Path) -> ! {
     std::process::exit(0);
 }
 
-/// Parent role: spawn the workers, merge their shards in spec order, sink
-/// JSONL in that same order. Any child failure or malformed shard file is
+/// Parent role: spawn the workers and merge their shards in spec order.
+/// Any child failure or malformed shard file is
 /// fatal (exit 2 for a bad shard — the same status as a usage error: the
 /// sweep's output would be wrong, so there is no output).
 fn run_parent(specs: &[RunSpec], count: usize) -> Vec<RunResult> {
@@ -216,15 +196,11 @@ fn run_parent(specs: &[RunSpec], count: usize) -> Vec<RunResult> {
         .iter()
         .cloned()
         .zip(merged)
-        .map(|(spec, report)| {
-            let result = RunResult {
-                report: report.expect("round-robin partition covers every index"),
-                spec,
-                tracer: Tracer::disabled(),
-                samples: Vec::new(),
-            };
-            crate::sink_results_jsonl(&result);
-            result
+        .map(|(spec, report)| RunResult {
+            report: report.expect("round-robin partition covers every index"),
+            spec,
+            tracer: Tracer::disabled(),
+            samples: Vec::new(),
         })
         .collect()
 }

@@ -90,6 +90,15 @@ fn janus_sweep_is_byte_identical_across_shard_counts() {
 }
 
 #[test]
+fn janus_fig_is_byte_identical_across_shard_counts() {
+    assert_shard_identity(
+        env!("CARGO_BIN_EXE_janus-fig"),
+        &["fig10", "--tx", "8"],
+        "fig10",
+    );
+}
+
+#[test]
 fn multicore_open_loop_is_byte_identical_across_shard_counts() {
     // The open-loop multi-tenant front end exercises the tenant-report
     // section of the shard codec; pin one dimension so the sweep stays

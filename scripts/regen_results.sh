@@ -1,7 +1,9 @@
 #!/usr/bin/env sh
 # Regenerates every figure/table result under results/, in both formats:
 #
-#   results/<name>.txt        — the binary's human-readable table (as before)
+#   results/<name>.txt        — the human-readable table of every
+#                               `janus-fig --list` entry and of the
+#                               janus-lint, multicore and janus-sweep tools
 #   results/json/<name>.jsonl — one JSON object per simulation run, emitted
 #                               by the janus-bench harness via the
 #                               JANUS_RESULTS_JSON_DIR sink
@@ -23,19 +25,21 @@
 #                                     the autofix engine, plus the 4-tenant
 #                                     shared-policy IRB-contention bound
 #
-# Extra arguments are forwarded to every figure binary (e.g.
+# Extra arguments are forwarded to every figure and tool (e.g.
 # `scripts/regen_results.sh --tx 40` for a quick pass, or
-# `scripts/regen_results.sh --jobs 8` to fan each binary's sweep across 8
-# worker threads — results are byte-identical at any worker count; setting
-# JANUS_JOBS=8 instead works too). `--shards N` fans each binary's sweep
-# across N worker *processes* (also byte-identical; composes with --jobs,
-# which then applies per worker). Hermetic: builds and runs with --locked
-# --offline only.
+# `scripts/regen_results.sh --jobs 8` to fan each sweep across 8 worker
+# threads — results are byte-identical at any worker count; setting
+# JANUS_JOBS=8 instead works too). `--shards N` fans each sweep across N
+# worker *processes* (also byte-identical; composes with --jobs, which then
+# applies per worker). `--legacy-events` and `--interpreted-sched` rerun
+# everything through the retained reference event loop and scheduler
+# (byte-identical too). Hermetic: builds and runs with --locked --offline
+# only.
 set -eu
 
 cd "$(dirname "$0")/.."
 
-BINS="fig1 fig3 fig6 fig9 fig10 fig11 fig12 fig13 fig14 table1 table4 overhead ablation endurance extended misuse skew janus-lint multicore janus-sweep"
+TOOLS="janus-lint multicore janus-sweep"
 
 echo "==> building janus-bench (release, locked, offline)"
 cargo build --release --locked --offline -p janus-bench
@@ -43,7 +47,15 @@ cargo build --release --locked --offline -p janus-bench
 mkdir -p results/json
 rm -f results/json/*.jsonl
 
-for bin in $BINS; do
+FIGS=$(cargo run --release --locked --offline -p janus-bench --bin janus-fig -- --list)
+for fig in $FIGS; do
+    echo "==> $fig"
+    JANUS_RESULTS_JSON_DIR=results/json \
+        cargo run --release --locked --offline -p janus-bench --bin janus-fig -- "$fig" "$@" \
+        > "results/$fig.txt"
+done
+
+for bin in $TOOLS; do
     echo "==> $bin"
     JANUS_RESULTS_JSON_DIR=results/json \
         cargo run --release --locked --offline -p janus-bench --bin "$bin" -- "$@" \

@@ -17,7 +17,7 @@
 //! pipelines whose sub-op graphs (and hence event interleavings) differ
 //! from the paper's default trio.
 
-use janus_bench::{run_quiet, RunSpec, Variant};
+use janus_bench::{run, RunSpec, Variant};
 use janus_bmo::BmoId;
 use janus_workloads::Workload;
 
@@ -25,9 +25,9 @@ use janus_workloads::Workload;
 /// every exported artifact.
 fn assert_paths_identical(mut spec: RunSpec) {
     spec.legacy_events = true;
-    let legacy = run_quiet(spec.clone());
+    let legacy = run(spec.clone());
     spec.legacy_events = false;
-    let batched = run_quiet(spec.clone());
+    let batched = run(spec.clone());
 
     let dump = |r: &janus_bench::RunResult| {
         let mut buf = Vec::new();

@@ -13,11 +13,11 @@
 use janus::prof::Profile;
 use janus::sim::time::Cycles;
 use janus::workloads::traffic::Arrival;
-use janus_bench::{run_quiet, OpenLoopSpec, RunSpec, Variant};
+use janus_bench::{run, OpenLoopSpec, RunSpec, Variant};
 use janus_workloads::Workload;
 
 fn profile_of(spec: &RunSpec) -> (String, String) {
-    let r = run_quiet(spec.clone());
+    let r = run(spec.clone());
     let config = r.spec.config();
     let graph = config.stack().graph(&config.latencies);
     let p =
@@ -85,7 +85,7 @@ fn tenant_tails_group_write_latency_by_tenant_not_core() {
         },
         mix: vec![Workload::HashTable, Workload::Queue],
     });
-    let r = run_quiet(spec);
+    let r = run(spec);
     let config = r.spec.config();
     let graph = config.stack().graph(&config.latencies);
     let p =
@@ -114,7 +114,7 @@ fn chrome_export_with_counters_is_deterministic() {
     let export = || {
         let mut spec = profiled_spec(Workload::Queue, Variant::JanusManual);
         spec.sample_every = Some(1000);
-        let r = run_quiet(spec);
+        let r = run(spec);
         assert!(!r.samples.is_empty(), "sampler produced counter samples");
         let mut out = Vec::new();
         janus::prof::export_chrome_with_counters(
