@@ -20,7 +20,7 @@
 //! `--profile PATH` (causal profile: text report to PATH, `-` for stdout;
 //! see the `janus-prof` binary for the full profiling workflow).
 
-use janus_bench::cli::{arg, flag};
+use janus_bench::cli::{arg, arg_positive, flag};
 use janus_bench::{run_all, RunSpec, SweepArgs, Variant};
 use janus_bmo::BmoStack;
 use janus_workloads::Workload;
@@ -86,11 +86,11 @@ fn main() {
         .collect();
 
     let mut spec = RunSpec::new(workload, variants[0]);
-    if let Some(v) = arg("--cores") {
-        spec.cores = v.parse().expect("--cores N");
+    if let Some(n) = arg_positive("--cores") {
+        spec.cores = n;
     }
-    if let Some(v) = arg("--tx") {
-        spec.transactions = v.parse().expect("--tx N");
+    if let Some(n) = arg_positive("--tx") {
+        spec.transactions = n;
     }
     if let Some(v) = arg("--size") {
         spec.tx_size_bytes = v.parse().expect("--size BYTES");

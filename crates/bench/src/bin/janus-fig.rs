@@ -2,7 +2,7 @@
 //! [`janus_bench::figures`] registry.
 //!
 //! ```text
-//! janus-fig <name> [--tx N] [--jobs N] [--shards N] [--legacy-events] [--interpreted-sched]
+//! janus-fig <name> [--tx N] [--jobs N] [--legacy-events] [--interpreted-sched]
 //! janus-fig --list
 //! ```
 //!
@@ -10,13 +10,13 @@
 //! `scripts/regen_results.sh` runs them. A run prints the entry's table to
 //! stdout; with `JANUS_RESULTS_JSON_DIR` set, its simulation runs are also
 //! exported to `<dir>/<name>.jsonl`. An unknown name or a malformed or zero
-//! `--tx`/`--jobs`/`--shards` value exits with status 2.
+//! `--tx`/`--jobs` value exits with status 2.
 
 use janus_bench::cli::{arg_positive, check_args};
 use janus_bench::{figures, run_all, SweepArgs};
 
-const USAGE: &str = "usage: janus-fig <name> [--tx N] [--jobs N] [--shards N] \
-                     [--legacy-events] [--interpreted-sched]\n       janus-fig --list";
+const USAGE: &str = "usage: janus-fig <name> [--tx N] [--jobs N] [--legacy-events] \
+                     [--interpreted-sched]\n       janus-fig --list";
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();

@@ -64,7 +64,7 @@ fn main() {
             "--dry-run",
         ],
     );
-    let tx = janus_bench::arg_usize("--tx", 50);
+    let tx = janus_bench::cli::arg_positive("--tx").unwrap_or(50);
     let json_out = flag("--json");
     let dry_run = flag("--dry-run");
     let fix = flag("--fix") || dry_run;

@@ -19,7 +19,7 @@
 //! computes analytically. A disagreement means the profiler's causal chain
 //! reconstruction is broken, and the binary refuses to continue.
 
-use janus_bench::cli::arg;
+use janus_bench::cli::{arg, arg_positive};
 use janus_bench::{arg_usize, run, RunSpec, SweepArgs, Variant};
 use janus_core::controller::MemoryController;
 use janus_core::{JanusConfig, SystemMode};
@@ -66,8 +66,6 @@ fn main() {
         ],
         &[],
     );
-    calibration_probe();
-
     let workload: Workload = match arg("--workload").as_deref().unwrap_or("tatp").parse() {
         Ok(w) => w,
         Err(e) => {
@@ -87,13 +85,14 @@ fn main() {
         }
     };
     let mut spec = RunSpec::new(workload, variant);
-    spec.cores = arg_usize("--cores", 1);
-    spec.transactions = arg_usize("--tx", 40);
+    spec.cores = arg_positive("--cores").unwrap_or(1);
+    spec.transactions = arg_positive("--tx").unwrap_or(40);
     spec.seed = arg_usize("--seed", 42) as u64;
     spec.profile = true;
     spec.sample_every = Some(arg_usize("--sample", 2000) as u64);
     SweepArgs::parse().apply(std::slice::from_mut(&mut spec));
 
+    calibration_probe();
     let result = run(spec);
     let config = result.spec.config();
     let graph = config.stack().graph(&config.latencies);

@@ -5,13 +5,11 @@
 //! the open-ended driver for ad-hoc grids: pick workloads (`--workloads`
 //! CSV of slugs), variants (`--variants` CSV), `--tx`, `--cores`, and
 //! `--seed`, and get one row per point with cycles, throughput, and speedup
-//! over the grid's first variant. The JSONL sink and the global fan-out
-//! flags apply as everywhere else: `--jobs N` threads, `--shards N` worker
-//! processes — output is byte-identical at any fan-out.
+//! over the grid's first variant. The JSONL sink and `--jobs N` apply as
+//! everywhere else — output is byte-identical at any worker count.
 
-use janus_bench::cli::arg_str;
-use janus_bench::cli::arg_u64;
-use janus_bench::{arg_usize, banner, row, run_all, RunSpec, SweepArgs, Variant};
+use janus_bench::cli::{arg_positive, arg_str, arg_u64};
+use janus_bench::{banner, row, run_all, RunSpec, SweepArgs, Variant};
 use janus_workloads::Workload;
 
 /// The sweepable variants by slug (the grid's first entry is the speedup
@@ -49,8 +47,8 @@ fn main() {
         &["--workloads", "--variants", "--tx", "--cores", "--seed"],
         &[],
     );
-    let tx = arg_usize("--tx", 60);
-    let cores = arg_usize("--cores", 1);
+    let tx = arg_positive("--tx").unwrap_or(60);
+    let cores = arg_positive("--cores").unwrap_or(1);
     let seed = arg_u64("--seed", 42);
     let workloads: Vec<Workload> = match arg_str("--workloads", "").as_str() {
         "" => Workload::all().to_vec(),

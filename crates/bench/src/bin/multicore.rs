@@ -18,8 +18,8 @@
 //! Output is deterministic: byte-identical across reruns and at any
 //! `--jobs` fan-out.
 
-use janus_bench::cli::{arg, arg_u64, flag};
-use janus_bench::{arg_usize, banner, row, run_all, OpenLoopSpec, RunSpec, SweepArgs, Variant};
+use janus_bench::cli::{arg, arg_positive, arg_u64, flag};
+use janus_bench::{banner, row, run_all, OpenLoopSpec, RunSpec, SweepArgs, Variant};
 use janus_core::irb::IrbPolicy;
 use janus_sim::time::Cycles;
 use janus_workloads::traffic::{digest, generate_tenants, Arrival};
@@ -80,8 +80,8 @@ fn main() {
         ],
         &["--traffic-digest"],
     );
-    let tx = arg_usize("--tx", 40);
-    let cores = arg_usize("--cores", 4);
+    let tx = arg_positive("--tx").unwrap_or(40);
+    let cores = arg_positive("--cores").unwrap_or(4);
     let seed = arg_u64("--seed", 42);
     let policies: Vec<IrbPolicy> = match arg("--irb-policy") {
         Some(p) => vec![parse_policy(&p)],
@@ -91,11 +91,8 @@ fn main() {
             IrbPolicy::Partitioned { quota: 64 },
         ],
     };
-    let tenant_counts: Vec<usize> = match arg("--tenants") {
-        Some(t) => vec![t.parse().unwrap_or_else(|_| {
-            eprintln!("error: --tenants requires an unsigned integer value");
-            std::process::exit(2);
-        })],
+    let tenant_counts: Vec<usize> = match arg_positive("--tenants") {
+        Some(t) => vec![t],
         None => vec![1, 4, 16],
     };
     let arrivals: Vec<Arrival> = match arg("--arrival") {

@@ -32,7 +32,7 @@
 //! Knobs: `--tx N` (transactions per spec), `--samples K`, `--warmup K`,
 //! `--jobs N`, `--out PATH`.
 
-use janus_bench::cli::arg_str;
+use janus_bench::cli::{arg_positive, arg_str};
 use janus_bench::timing::median_wall_ms;
 use janus_bench::{arg_usize, banner, run_all_jobs, run_timed, RunSpec, SweepArgs, Variant};
 use janus_sim::event::{EventQueue, HeapEventQueue};
@@ -120,8 +120,8 @@ fn queue_trace(q: &mut impl Queue, ops: u64) -> u64 {
 
 fn main() {
     janus_bench::require_known_args(&["--tx", "--samples", "--warmup", "--out"], &[]);
-    let tx = arg_usize("--tx", 200);
-    let samples = arg_usize("--samples", 5);
+    let tx = arg_positive("--tx").unwrap_or(200);
+    let samples = arg_positive("--samples").unwrap_or(5);
     let warmup = arg_usize("--warmup", 1);
     let out_path = arg_str("--out", "BENCH_perfsmoke.json");
     let host = std::thread::available_parallelism().map_or(1, |n| n.get());

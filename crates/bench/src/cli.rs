@@ -37,7 +37,8 @@ pub fn arg_usize(name: &str, default: usize) -> usize {
 }
 
 /// [`arg_usize`] for counts that must be at least 1 (`--tx`, `--jobs`,
-/// `--shards`): `None` when absent, and a zero value is a usage error too.
+/// `--cores`, ...): `None` when absent, and a zero value is a usage error
+/// too.
 pub fn arg_positive(name: &str) -> Option<usize> {
     let what = "a positive integer";
     match parse_arg(name, what) {
@@ -76,8 +77,6 @@ fn usage_error(msg: &str) -> ! {
 pub struct SweepArgs {
     /// Worker threads: `--jobs N`, else `JANUS_JOBS`, else 1.
     pub jobs: usize,
-    /// Worker processes: `--shards N`, else `JANUS_SHARDS`, else 1.
-    pub shards: usize,
     /// `--legacy-events`: run the one-event-at-a-time dispatch loop
     /// ([`RunSpec::legacy_events`]).
     pub legacy_events: bool,
@@ -87,22 +86,20 @@ pub struct SweepArgs {
 }
 
 impl SweepArgs {
-    /// Parses the process arguments. A malformed or zero `--jobs`/`--shards`
-    /// value exits with status 2; the environment fallbacks ignore
-    /// malformed values, as they always have.
+    /// Parses the process arguments. A malformed or zero `--jobs` value
+    /// exits with status 2, and so does a malformed or zero `JANUS_JOBS`
+    /// when `--jobs` is absent.
     pub fn parse() -> Self {
-        let fan_out = |name: &str, var: &str| {
-            arg_positive(name).unwrap_or_else(|| {
-                std::env::var(var)
-                    .ok()
-                    .and_then(|v| v.parse().ok())
-                    .filter(|&n| n >= 1)
-                    .unwrap_or(1)
-            })
-        };
+        let jobs = arg_positive("--jobs").unwrap_or_else(|| match std::env::var("JANUS_JOBS") {
+            Err(std::env::VarError::NotPresent) => 1,
+            v => v
+                .ok()
+                .and_then(|v| v.parse().ok())
+                .filter(|&n| n >= 1)
+                .unwrap_or_else(|| usage_error("JANUS_JOBS requires a positive integer value")),
+        });
         SweepArgs {
-            jobs: fan_out("--jobs", "JANUS_JOBS"),
-            shards: fan_out("--shards", "JANUS_SHARDS"),
+            jobs,
             legacy_events: flag("--legacy-events"),
             interpreted_sched: flag("--interpreted-sched"),
         }
@@ -120,7 +117,7 @@ impl SweepArgs {
 
 /// Strict argument validation: every token must be a known value-taking
 /// flag (followed by its value), a known boolean flag, or one of the
-/// [`SweepArgs`] flags (`--jobs N`, `--shards N`, `--legacy-events`,
+/// [`SweepArgs`] flags (`--jobs N`, `--legacy-events`,
 /// `--interpreted-sched`). Anything else — an unknown flag, a stray
 /// positional, a value-taking flag at the end of the line — exits with
 /// status 2 and a usage message, so a typo can never silently produce
@@ -133,11 +130,7 @@ pub fn require_known_args(value_flags: &[&str], bool_flags: &[&str]) {
 /// [`require_known_args`] over an explicit argument list (the process
 /// arguments after any positionals the binary consumed itself).
 pub fn check_args(args: &[String], value_flags: &[&str], bool_flags: &[&str]) {
-    let value_flags: Vec<&str> = value_flags
-        .iter()
-        .copied()
-        .chain(["--jobs", "--shards"])
-        .collect();
+    let value_flags: Vec<&str> = value_flags.iter().copied().chain(["--jobs"]).collect();
     let bool_flags: Vec<&str> = bool_flags
         .iter()
         .copied()

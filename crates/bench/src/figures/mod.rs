@@ -3,8 +3,8 @@
 //! as one list the `janus-fig` binary runs.
 //!
 //! An entry is a spec grid plus a renderer. `janus-fig <name>` runs the
-//! grid through [`crate::run_all`] (so `--jobs`, `--shards`, the twin-path
-//! switches and the JSONL sink apply to every entry alike) and hands the
+//! grid through [`crate::run_all`] (so `--jobs`, the twin-path switches
+//! and the JSONL sink apply to every entry alike) and hands the
 //! results, in spec order, to the renderer. Entries that run no
 //! [`RunSpec`] return an empty grid and do their work in the renderer.
 

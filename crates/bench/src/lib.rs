@@ -11,7 +11,6 @@
 pub mod cli;
 pub mod figures;
 pub mod pool;
-pub mod shard;
 pub mod timing;
 
 use std::io::Write as _;
@@ -468,18 +467,15 @@ fn run_timed_with(spec: RunSpec, config: JanusConfig) -> (RunResult, f64) {
     )
 }
 
-/// Runs a batch of independent specs under the [`SweepArgs`] options —
-/// fanned across `jobs` worker threads and, under `--shards N`, across N
-/// worker *processes* ([`shard`]), with the twin-path switches applied to
-/// every spec. When `JANUS_RESULTS_JSON_DIR` names a directory, each
-/// result's metrics are appended to `<dir>/<name>.jsonl`. Results come back
-/// in spec order; output is byte-identical at any shard and worker count.
+/// Runs a batch of independent specs under the [`SweepArgs`] options: the
+/// twin-path switches are applied to every spec and the specs are fanned
+/// across `jobs` worker threads ([`run_all_jobs`]). When
+/// `JANUS_RESULTS_JSON_DIR` names a directory, each result's metrics are
+/// appended to `<dir>/<name>.jsonl`. Results come back in spec order;
+/// output is byte-identical at any worker count.
 pub fn run_all(name: &str, mut specs: Vec<RunSpec>, args: &SweepArgs) -> Vec<RunResult> {
     args.apply(&mut specs);
-    let results = match shard::maybe_run_sharded(&specs, args) {
-        Some(results) => results,
-        None => run_all_jobs(specs, args.jobs),
-    };
+    let results = run_all_jobs(specs, args.jobs);
     sink_results_jsonl(name, &results);
     results
 }

@@ -1,20 +1,28 @@
 //! The figure registry and its `janus-fig` driver: every entry runs end to
 //! end, names are unique, `--list` is the registry, and malformed shared
-//! arguments are usage errors (exit status 2) rather than silent defaults.
+//! arguments and zero counts are usage errors (exit status 2) rather than
+//! silent defaults or panics, in `janus-fig` and the other bench binaries.
 
 use std::collections::BTreeSet;
 use std::process::{Command, Output};
 
 use janus_bench::figures;
 
-fn janus_fig(args: &[&str]) -> Output {
-    Command::new(env!("CARGO_BIN_EXE_janus-fig"))
-        .args(args)
+/// Runs a bench binary with the JSONL sink off and `JANUS_JOBS` set to
+/// `jobs_env` (unset when `None`).
+fn run_bin(exe: &str, args: &[&str], jobs_env: Option<&str>) -> Output {
+    let mut cmd = Command::new(exe);
+    cmd.args(args)
         .env_remove("JANUS_RESULTS_JSON_DIR")
-        .env_remove("JANUS_JOBS")
-        .env_remove("JANUS_SHARDS")
-        .output()
-        .expect("janus-fig runs")
+        .env_remove("JANUS_JOBS");
+    if let Some(v) = jobs_env {
+        cmd.env("JANUS_JOBS", v);
+    }
+    cmd.output().expect("binary runs")
+}
+
+fn janus_fig(args: &[&str]) -> Output {
+    run_bin(env!("CARGO_BIN_EXE_janus-fig"), args, None)
 }
 
 #[test]
@@ -55,18 +63,55 @@ fn list_prints_exactly_the_registry() {
 
 #[test]
 fn malformed_shared_values_are_usage_errors() {
-    for args in [
-        ["table1", "--tx", "abc"],
-        ["table1", "--tx", "0"],
-        ["table1", "--jobs", "abc"],
-        ["table1", "--jobs", "0"],
-        ["table1", "--shards", "0"],
-        ["table1", "--shards", "-3x"],
-    ] {
-        let out = janus_fig(&args);
-        assert_eq!(out.status.code(), Some(2), "{args:?} must be a usage error");
-        assert!(out.stdout.is_empty(), "{args:?} printed a table anyway");
+    let fig = env!("CARGO_BIN_EXE_janus-fig");
+    let cli = env!("CARGO_BIN_EXE_janus-cli");
+    let sweep = env!("CARGO_BIN_EXE_janus-sweep");
+    let multicore = env!("CARGO_BIN_EXE_multicore");
+    let prof = env!("CARGO_BIN_EXE_janus-prof");
+    let perfsmoke = env!("CARGO_BIN_EXE_perfsmoke");
+    let lint = env!("CARGO_BIN_EXE_janus-lint");
+    let out_json = std::env::temp_dir().join(format!("janus-usage-{}.json", std::process::id()));
+    let out_json = out_json.to_str().expect("utf-8 temp path");
+    let cases: &[(&str, &[&str], Option<&str>)] = &[
+        (fig, &["table1", "--tx", "abc"], None),
+        (fig, &["table1", "--tx", "0"], None),
+        (fig, &["table1", "--jobs", "abc"], None),
+        (fig, &["table1", "--jobs", "0"], None),
+        // The `JANUS_JOBS` fallback follows the `--jobs` rule.
+        (fig, &["table1"], Some("abc")),
+        (fig, &["table1"], Some("0")),
+        (fig, &["table1"], Some("")),
+        (sweep, &["--workloads", "tatp"], Some("-2")),
+        (cli, &["--tx", "abc"], None),
+        // Zero counts.
+        (cli, &["--cores", "0"], None),
+        (cli, &["--tx", "0"], None),
+        (sweep, &["--cores", "0"], None),
+        (sweep, &["--tx", "0"], None),
+        (multicore, &["--cores", "0"], None),
+        (multicore, &["--tx", "0"], None),
+        (multicore, &["--tenants", "0"], None),
+        (prof, &["--cores", "0"], None),
+        (prof, &["--tx", "0"], None),
+        (perfsmoke, &["--samples", "0", "--out", out_json], None),
+        (perfsmoke, &["--tx", "0", "--out", out_json], None),
+        (lint, &["--tx", "0"], None),
+    ];
+    for &(exe, args, jobs_env) in cases {
+        let out = run_bin(exe, args, jobs_env);
+        let what = format!("{exe} {args:?} (JANUS_JOBS={jobs_env:?})");
+        assert_eq!(out.status.code(), Some(2), "{what} must be a usage error");
+        assert!(out.stdout.is_empty(), "{what} printed output anyway");
+        assert!(
+            String::from_utf8_lossy(&out.stderr).contains("positive integer"),
+            "{what}: {}",
+            String::from_utf8_lossy(&out.stderr)
+        );
     }
+    assert!(
+        !std::path::Path::new(out_json).exists(),
+        "a rejected perfsmoke run wrote its report"
+    );
 }
 
 #[test]
@@ -76,9 +121,12 @@ fn unknown_figure_or_argument_is_a_usage_error() {
         &[],
         &["table1", "--bogus"],
         &["--list", "x"],
+        // `--jobs` is the only fan-out flag; there is no process-level one.
+        &["fig9", "--shards", "2"],
     ] {
         let out = janus_fig(args);
         assert_eq!(out.status.code(), Some(2), "{args:?} must be a usage error");
+        assert!(out.stdout.is_empty(), "{args:?} printed output anyway");
     }
 }
 
@@ -90,7 +138,6 @@ fn jsonl_sink_is_named_after_the_figure() {
         let out = Command::new(env!("CARGO_BIN_EXE_janus-fig"))
             .args([name, "--tx", "4"])
             .env("JANUS_RESULTS_JSON_DIR", &dir)
-            .env_remove("JANUS_SHARDS")
             .output()
             .expect("janus-fig runs");
         assert!(out.status.success(), "{name} failed");

@@ -29,12 +29,10 @@
 # `scripts/regen_results.sh --tx 40` for a quick pass, or
 # `scripts/regen_results.sh --jobs 8` to fan each sweep across 8 worker
 # threads — results are byte-identical at any worker count; setting
-# JANUS_JOBS=8 instead works too). `--shards N` fans each sweep across N
-# worker *processes* (also byte-identical; composes with --jobs, which then
-# applies per worker). `--legacy-events` and `--interpreted-sched` rerun
-# everything through the retained reference event loop and scheduler
-# (byte-identical too). Hermetic: builds and runs with --locked --offline
-# only.
+# JANUS_JOBS=8 instead works too). `--legacy-events` and
+# `--interpreted-sched` rerun everything through the retained reference
+# event loop and scheduler (byte-identical too). Hermetic: builds and runs
+# with --locked --offline only.
 set -eu
 
 cd "$(dirname "$0")/.."
