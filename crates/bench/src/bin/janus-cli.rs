@@ -20,7 +20,7 @@
 //! `--profile PATH` (causal profile: text report to PATH, `-` for stdout;
 //! see the `janus-prof` binary for the full profiling workflow).
 
-use janus_bench::cli::{arg, arg_positive, flag};
+use janus_bench::cli::{arg, arg_f64_in, arg_positive, arg_u64, arg_usize, flag, write_output};
 use janus_bench::{run_all, RunSpec, SweepArgs, Variant};
 use janus_bmo::BmoStack;
 use janus_workloads::Workload;
@@ -92,30 +92,26 @@ fn main() {
     if let Some(n) = arg_positive("--tx") {
         spec.transactions = n;
     }
-    if let Some(v) = arg("--size") {
-        spec.tx_size_bytes = v.parse().expect("--size BYTES");
+    spec.tx_size_bytes = arg_usize("--size", spec.tx_size_bytes);
+    if let Some(r) = arg_f64_in("--dedup", 0.0..=1.0) {
+        spec.dedup_ratio = r;
     }
-    if let Some(v) = arg("--dedup") {
-        spec.dedup_ratio = v.parse().expect("--dedup RATIO");
+    spec.seed = arg_u64("--seed", spec.seed);
+    if let Some(theta) = arg_f64_in("--skew", 0.0..1.0) {
+        spec.key_skew = Some(theta);
     }
-    if let Some(v) = arg("--seed") {
-        spec.seed = v.parse().expect("--seed N");
-    }
-    if let Some(v) = arg("--skew") {
-        spec.key_skew = Some(v.parse().expect("--skew THETA"));
-    }
-    if let Some(v) = arg("--aux") {
-        spec.aux_tx_fraction = v.parse().expect("--aux FRACTION");
+    if let Some(f) = arg_f64_in("--aux", 0.0..=1.0) {
+        spec.aux_tx_fraction = f;
     }
     if flag("--crc32") {
         spec.crc32 = true;
     }
     if let Some(v) = arg("--scale") {
-        spec.resource_scale = Some(if v == "unlimited" {
-            usize::MAX
+        spec.resource_scale = if v == "unlimited" {
+            Some(usize::MAX)
         } else {
-            v.parse().expect("--scale N|unlimited")
-        });
+            arg_positive("--scale")
+        };
     }
     if let Some(v) = arg("--bmos") {
         match BmoStack::parse(&v) {
@@ -155,7 +151,7 @@ fn main() {
             if path == "-" {
                 print!("{text}");
             } else {
-                std::fs::write(path, text).expect("write profile report");
+                write_output(path, text);
             }
         }
         if flag("--dump") {

@@ -19,7 +19,7 @@
 //! computes analytically. A disagreement means the profiler's causal chain
 //! reconstruction is broken, and the binary refuses to continue.
 
-use janus_bench::cli::{arg, arg_positive};
+use janus_bench::cli::{arg, arg_positive, write_output};
 use janus_bench::{arg_usize, run, RunSpec, SweepArgs, Variant};
 use janus_core::controller::MemoryController;
 use janus_core::{JanusConfig, SystemMode};
@@ -113,12 +113,12 @@ fn main() {
     let text = profile.render_text();
     print!("{text}");
     if let Some(path) = arg("--out") {
-        std::fs::write(&path, &text).expect("write text report");
+        write_output(&path, &text);
     }
     if let Some(path) = arg("--json") {
         let json = profile.to_json();
         janus_prof::validate_profile_json(&json).expect("emitted profile validates");
-        std::fs::write(&path, json).expect("write profile JSON");
+        write_output(&path, json);
         println!("profile json -> {path}");
     }
     if let Some(path) = arg("--chrome") {
@@ -130,7 +130,7 @@ fn main() {
             &mut out,
         )
         .expect("serialize chrome trace");
-        std::fs::write(&path, out).expect("write chrome trace");
+        write_output(&path, out);
         println!("chrome trace (+counter tracks) -> {path}");
     }
 }

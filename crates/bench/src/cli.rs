@@ -6,6 +6,9 @@
 //! [`SweepArgs::parse`] reads the sweep options every spec-running binary
 //! shares.
 
+use std::fmt;
+use std::ops::RangeBounds;
+
 use crate::RunSpec;
 
 /// Reads the value following `--name`, if present.
@@ -52,9 +55,26 @@ pub fn arg_u64(name: &str, default: u64) -> u64 {
     parse_arg(name, "an unsigned integer").unwrap_or(default)
 }
 
-/// [`arg_usize`] for floating-point values (ratios, skew parameters).
-pub fn arg_f64(name: &str, default: f64) -> f64 {
-    parse_arg(name, "a number").unwrap_or(default)
+/// Reads `--name value` as a floating-point value that must lie in `range`
+/// (ratios, skew parameters): `None` when absent. A malformed,
+/// out-of-range or NaN value is a usage error (exit status 2).
+pub fn arg_f64_in(name: &str, range: impl RangeBounds<f64> + fmt::Debug) -> Option<f64> {
+    match parse_arg(name, "a number") {
+        Some(v) if !range.contains(&v) => {
+            usage_error(&format!("{name} requires a value in {range:?}, got {v}"))
+        }
+        v => v,
+    }
+}
+
+/// Writes `contents` to `path`, or exits with status 1 naming the path and
+/// the I/O error: an unwritable output path is a run-time error, not a
+/// panic.
+pub fn write_output(path: &str, contents: impl AsRef<[u8]>) {
+    if let Err(e) = std::fs::write(path, contents) {
+        eprintln!("error: cannot write {path}: {e}");
+        std::process::exit(1);
+    }
 }
 
 fn parse_arg<T: std::str::FromStr>(name: &str, what: &str) -> Option<T> {

@@ -373,10 +373,10 @@ pub fn run_with_config(spec: RunSpec, config: JanusConfig) -> RunResult {
 
 /// [`run`] plus the wall-clock seconds the *event loop proper* took —
 /// `System::try_run`/`try_run_tenants` only, excluding workload generation,
-/// system construction, and oracle verification. This is `perfsmoke`'s
-/// events-per-second denominator's counterpart: the events/sec metric is
-/// honest only if the numerator's wall time covers exactly the loop that
-/// processed those events.
+/// system construction, and oracle verification. This is the denominator
+/// of simbench's `events_per_s` (and its `run_s`): the events/sec metric is
+/// honest only if the wall time covers exactly the loop that processed
+/// those events.
 pub fn run_timed(spec: RunSpec) -> (RunResult, f64) {
     let config = spec.config();
     run_timed_with(spec, config)
@@ -564,7 +564,7 @@ mod tests {
     #[test]
     fn speedup_ordering_on_tatp() {
         let mut s = RunSpec::new(Workload::Tatp, Variant::Serialized);
-        s.transactions = 30;
+        s.transactions = 200;
         let mut p = s.clone();
         p.variant = Variant::Parallelized;
         let mut j = s.clone();
@@ -572,6 +572,9 @@ mod tests {
         let (rs, rp, rj) = (run(s), run(p), run(j));
         assert!(speedup(&rs, &rp) > 1.0);
         assert!(speedup(&rs, &rj) > speedup(&rs, &rp));
+        // The compiled schedule cache is live: full submits replay a
+        // template instead of walking the interpreted scheduler.
+        assert!(rj.report.sched_cache.0 > 0, "{:?}", rj.report.sched_cache);
     }
 
     #[test]

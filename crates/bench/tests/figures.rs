@@ -1,7 +1,9 @@
 //! The figure registry and its `janus-fig` driver: every entry runs end to
 //! end, names are unique, `--list` is the registry, and malformed shared
-//! arguments and zero counts are usage errors (exit status 2) rather than
-//! silent defaults or panics, in `janus-fig` and the other bench binaries.
+//! arguments, zero counts and out-of-range knobs are usage errors (exit
+//! status 2) rather than silent defaults or panics, in `janus-fig` and the
+//! other bench binaries, and an unwritable output path is an error (exit
+//! status 1), not a panic.
 
 use std::collections::BTreeSet;
 use std::process::{Command, Output};
@@ -61,6 +63,17 @@ fn list_prints_exactly_the_registry() {
     assert_eq!(listed, registry);
 }
 
+/// Runs `exe` and asserts a usage error: exit status 2, nothing on stdout,
+/// and `needle` in the stderr message.
+fn assert_usage_error(exe: &str, args: &[&str], jobs_env: Option<&str>, needle: &str) {
+    let out = run_bin(exe, args, jobs_env);
+    let what = format!("{exe} {args:?} (JANUS_JOBS={jobs_env:?})");
+    assert_eq!(out.status.code(), Some(2), "{what} must be a usage error");
+    assert!(out.stdout.is_empty(), "{what} printed output anyway");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(stderr.contains(needle), "{what}: {stderr}");
+}
+
 #[test]
 fn malformed_shared_values_are_usage_errors() {
     let fig = env!("CARGO_BIN_EXE_janus-fig");
@@ -68,10 +81,7 @@ fn malformed_shared_values_are_usage_errors() {
     let sweep = env!("CARGO_BIN_EXE_janus-sweep");
     let multicore = env!("CARGO_BIN_EXE_multicore");
     let prof = env!("CARGO_BIN_EXE_janus-prof");
-    let perfsmoke = env!("CARGO_BIN_EXE_perfsmoke");
     let lint = env!("CARGO_BIN_EXE_janus-lint");
-    let out_json = std::env::temp_dir().join(format!("janus-usage-{}.json", std::process::id()));
-    let out_json = out_json.to_str().expect("utf-8 temp path");
     let cases: &[(&str, &[&str], Option<&str>)] = &[
         (fig, &["table1", "--tx", "abc"], None),
         (fig, &["table1", "--tx", "0"], None),
@@ -83,9 +93,11 @@ fn malformed_shared_values_are_usage_errors() {
         (fig, &["table1"], Some("")),
         (sweep, &["--workloads", "tatp"], Some("-2")),
         (cli, &["--tx", "abc"], None),
+        (cli, &["--scale", "abc"], None),
         // Zero counts.
         (cli, &["--cores", "0"], None),
         (cli, &["--tx", "0"], None),
+        (cli, &["--scale", "0"], None),
         (sweep, &["--cores", "0"], None),
         (sweep, &["--tx", "0"], None),
         (multicore, &["--cores", "0"], None),
@@ -93,25 +105,58 @@ fn malformed_shared_values_are_usage_errors() {
         (multicore, &["--tenants", "0"], None),
         (prof, &["--cores", "0"], None),
         (prof, &["--tx", "0"], None),
-        (perfsmoke, &["--samples", "0", "--out", out_json], None),
-        (perfsmoke, &["--tx", "0", "--out", out_json], None),
         (lint, &["--tx", "0"], None),
     ];
     for &(exe, args, jobs_env) in cases {
-        let out = run_bin(exe, args, jobs_env);
-        let what = format!("{exe} {args:?} (JANUS_JOBS={jobs_env:?})");
-        assert_eq!(out.status.code(), Some(2), "{what} must be a usage error");
-        assert!(out.stdout.is_empty(), "{what} printed output anyway");
+        assert_usage_error(exe, args, jobs_env, "positive integer");
+    }
+}
+
+/// `janus-cli`'s other numeric knobs: malformed values and values outside
+/// the range the workload code accepts are usage errors, not panics.
+#[test]
+fn malformed_or_out_of_range_knobs_are_usage_errors() {
+    let cli = env!("CARGO_BIN_EXE_janus-cli");
+    let cases: &[(&[&str], &str)] = &[
+        (&["--size", "abc"], "unsigned integer"),
+        (&["--seed", "-1"], "unsigned integer"),
+        (&["--dedup", "abc"], "a number"),
+        (&["--dedup", "1.5"], "--dedup requires a value in"),
+        (&["--dedup", "-1"], "--dedup requires a value in"),
+        (&["--dedup", "nan"], "--dedup requires a value in"),
+        (&["--skew", "-2"], "--skew requires a value in"),
+        (&["--skew", "1"], "--skew requires a value in"),
+        (&["--skew", "nan"], "--skew requires a value in"),
+        (&["--aux", "2"], "--aux requires a value in"),
+        (&["--aux", "nan"], "--aux requires a value in"),
+    ];
+    for &(args, needle) in cases {
+        assert_usage_error(cli, args, None, needle);
+    }
+}
+
+/// An output path that cannot be created is reported as an error (exit 1)
+/// naming the path, not a panic.
+#[test]
+fn unwritable_output_paths_are_errors() {
+    // A path below a regular file can never be created.
+    let bad = concat!(env!("CARGO_MANIFEST_DIR"), "/Cargo.toml/x.txt");
+    let cli = env!("CARGO_BIN_EXE_janus-cli");
+    let prof = env!("CARGO_BIN_EXE_janus-prof");
+    for (exe, flag) in [
+        (cli, "--profile"),
+        (prof, "--out"),
+        (prof, "--json"),
+        (prof, "--chrome"),
+    ] {
+        let out = run_bin(exe, &["--tx", "4", flag, bad], None);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{exe} {flag}: {stderr}");
         assert!(
-            String::from_utf8_lossy(&out.stderr).contains("positive integer"),
-            "{what}: {}",
-            String::from_utf8_lossy(&out.stderr)
+            stderr.contains(&format!("cannot write {bad}")),
+            "{exe} {flag}: {stderr}"
         );
     }
-    assert!(
-        !std::path::Path::new(out_json).exists(),
-        "a rejected perfsmoke run wrote its report"
-    );
 }
 
 #[test]

@@ -215,8 +215,8 @@ pub struct ExecutionReport {
     pub mean_write_latency: Cycles,
     /// Mean demand-read (L2 miss) latency.
     pub mean_read_latency: Cycles,
-    /// Discrete events processed by the simulation loop — the denominator
-    /// of the `perfsmoke` events/sec metric. Deliberately excluded from
+    /// Discrete events processed by the simulation loop — the numerator of
+    /// simbench's `events_per_s` metric. Deliberately excluded from
     /// [`ExecutionReport::fields`]: it describes the simulator, not the
     /// simulated machine, and the exported result files must stay
     /// byte-identical.
@@ -224,8 +224,8 @@ pub struct ExecutionReport {
     /// Schedule-template cache `(hits, misses)` of the BMO engine. Like
     /// [`ExecutionReport::events`], this describes the simulator — not the
     /// simulated machine — so it is excluded from
-    /// [`ExecutionReport::fields`] and the exported result files; only
-    /// `perfsmoke` publishes it.
+    /// [`ExecutionReport::fields`] and the exported result files; simbench
+    /// reports it as `bmo.sched_hits`/`bmo.sched_misses`.
     pub sched_cache: (u64, u64),
     /// Per-tenant statistics of an open-loop run
     /// ([`System::try_run_tenants`]); empty for closed-loop runs, which
