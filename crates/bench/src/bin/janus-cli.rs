@@ -8,40 +8,35 @@
 //!
 //! Flags: `--workload <array|queue|hash|rbtree|btree|tatp|tpcc>`,
 //! `--variant <serialized|parallelized|janus|auto|pgo|place|fixed|ideal>`
-//! (accepts a comma-separated list to sweep several variants in one
-//! invocation; `fixed` = manual instrumentation with a seeded §6 misuse
-//! repaired by the `janus-lint --fix` engine),
+//! (or any other spelling `Variant` parses; accepts a comma-separated list
+//! to sweep several variants in one invocation; `fixed` = manual
+//! instrumentation with a seeded §6 misuse repaired by the
+//! `janus-lint --fix` engine),
 //! `--cores N`, `--tx N`, `--size BYTES`, `--dedup RATIO`, `--seed N`,
 //! `--crc32`, `--scale <N|unlimited>`, `--skew THETA`, `--aux FRACTION`,
 //! `--bmos <id,...|none>` (BMO stack override; see `--list-bmos`),
 //! `--jobs N` (worker threads for multi-variant sweeps; also honours the
 //! `JANUS_JOBS` environment variable; output is identical at any value),
-//! `--dump` (gem5-style stats to stdout),
-//! `--profile PATH` (causal profile: text report to PATH, `-` for stdout;
-//! see the `janus-prof` binary for the full profiling workflow).
+//! `--dump` (gem5-style stats to stdout). The run flags come from the
+//! knob table in `janus_bench::cli` and are shared with `janus-prof`,
+//! which writes causal profiles.
 
-use janus_bench::cli::{arg, arg_f64_in, arg_positive, arg_u64, arg_usize, flag, write_output};
+use janus_bench::cli::{self, flag, spec_from_args, RUN_FLAGS};
 use janus_bench::{run_all, RunSpec, SweepArgs, Variant};
 use janus_bmo::BmoStack;
 use janus_workloads::Workload;
 
 fn main() {
-    janus_bench::require_known_args(
-        &[
-            "--workload",
-            "--variant",
-            "--cores",
-            "--tx",
-            "--size",
-            "--dedup",
-            "--seed",
-            "--skew",
-            "--aux",
-            "--scale",
-            "--bmos",
-            "--profile",
-        ],
-        &["--crc32", "--dump", "--list-bmos"],
+    // `--variant` takes a list here, so it is read apart from the knobs.
+    let knobs: Vec<&str> = RUN_FLAGS
+        .into_iter()
+        .filter(|&f| f != "--variant")
+        .collect();
+    let spec = spec_from_args(
+        RunSpec::new(Workload::Tatp, Variant::JanusManual),
+        &knobs,
+        &["--variant"],
+        &["--dump", "--list-bmos"],
     );
     if flag("--list-bmos") {
         println!(
@@ -59,73 +54,8 @@ fn main() {
         }
         return;
     }
-    let workload: Workload = match arg("--workload").as_deref().unwrap_or("tatp").parse() {
-        Ok(w) => w,
-        Err(e) => {
-            eprintln!("{e}");
-            std::process::exit(2);
-        }
-    };
-    let variants: Vec<Variant> = arg("--variant")
-        .unwrap_or_else(|| "janus".into())
-        .split(',')
-        .map(|v| match v.trim() {
-            "serialized" => Variant::Serialized,
-            "parallelized" => Variant::Parallelized,
-            "janus" | "manual" => Variant::JanusManual,
-            "auto" | "compiler" => Variant::JanusAuto,
-            "pgo" | "profile" => Variant::JanusAutoPgo,
-            "place" | "autoplace" => Variant::JanusAutoPlace,
-            "fixed" => Variant::JanusFixed,
-            "ideal" => Variant::Ideal,
-            other => {
-                eprintln!("unknown variant {other:?}");
-                std::process::exit(2);
-            }
-        })
-        .collect();
-
-    let mut spec = RunSpec::new(workload, variants[0]);
-    if let Some(n) = arg_positive("--cores") {
-        spec.cores = n;
-    }
-    if let Some(n) = arg_positive("--tx") {
-        spec.transactions = n;
-    }
-    spec.tx_size_bytes = arg_usize("--size", spec.tx_size_bytes);
-    if let Some(r) = arg_f64_in("--dedup", 0.0..=1.0) {
-        spec.dedup_ratio = r;
-    }
-    spec.seed = arg_u64("--seed", spec.seed);
-    if let Some(theta) = arg_f64_in("--skew", 0.0..1.0) {
-        spec.key_skew = Some(theta);
-    }
-    if let Some(f) = arg_f64_in("--aux", 0.0..=1.0) {
-        spec.aux_tx_fraction = f;
-    }
-    if flag("--crc32") {
-        spec.crc32 = true;
-    }
-    if let Some(v) = arg("--scale") {
-        spec.resource_scale = if v == "unlimited" {
-            Some(usize::MAX)
-        } else {
-            arg_positive("--scale")
-        };
-    }
-    if let Some(v) = arg("--bmos") {
-        match BmoStack::parse(&v) {
-            Ok(stack) => spec.bmo_stack = Some(stack.members().to_vec()),
-            Err(e) => {
-                eprintln!("--bmos {v}: {e}");
-                std::process::exit(2);
-            }
-        }
-    }
-
-    let profile_path = arg("--profile");
-    spec.profile = profile_path.is_some();
-
+    let variants: Vec<Variant> =
+        cli::parse_arg("--variant", cli::list).unwrap_or(vec![spec.variant]);
     let specs: Vec<RunSpec> = variants
         .iter()
         .map(|&v| {
@@ -135,25 +65,6 @@ fn main() {
         })
         .collect();
     for result in run_all("janus-cli", specs, &SweepArgs::parse()) {
-        if let Some(path) = &profile_path {
-            let config = result.spec.config();
-            let graph = config.stack().graph(&config.latencies);
-            let profile = janus_prof::Profile::build(
-                &result.tracer.snapshot(),
-                result.tracer.dropped(),
-                &graph,
-            )
-            .unwrap_or_else(|e| {
-                eprintln!("profile failed: {e}");
-                std::process::exit(1);
-            });
-            let text = profile.render_text();
-            if path == "-" {
-                print!("{text}");
-            } else {
-                write_output(path, text);
-            }
-        }
         if flag("--dump") {
             result
                 .report

@@ -28,7 +28,7 @@
 //! flags, same bytes, at any `--jobs` value.
 
 use janus_bench::banner;
-use janus_bench::cli::{arg, flag};
+use janus_bench::cli::{arg, arg_positive, choice, flag, named, parse_arg};
 use janus_bmo::latency::BmoLatencies;
 use janus_bmo::BmoStack;
 use janus_core::config::{JanusConfig, SystemMode};
@@ -64,7 +64,15 @@ fn main() {
             "--dry-run",
         ],
     );
-    let tx = janus_bench::cli::arg_positive("--tx").unwrap_or(50);
+    let tx = arg_positive("--tx").unwrap_or(50);
+    let tenants = arg_positive("--tenants");
+    let policy = match parse_arg("--irb-policy", |n, v| named(n, IrbPolicy::parse(v))) {
+        Some(_) if tenants.is_none() => {
+            eprintln!("error: --irb-policy applies to the --tenants bound; give --tenants N");
+            std::process::exit(2);
+        }
+        p => p.unwrap_or(IrbPolicy::Shared),
+    };
     let json_out = flag("--json");
     let dry_run = flag("--dry-run");
     let fix = flag("--fix") || dry_run;
@@ -72,25 +80,11 @@ fn main() {
     // emulating a fix that regresses diagnostics. The verification gates
     // below must catch it and exit 2.
     let sabotage = std::env::var("JANUS_FIX_SABOTAGE").is_ok_and(|v| v == "1");
-    let stack = match arg("--bmos") {
-        Some(v) => match BmoStack::parse(&v) {
-            Ok(s) => s,
-            Err(e) => {
-                eprintln!("--bmos {v}: {e}");
-                std::process::exit(2);
-            }
-        },
-        None => BmoStack::paper(),
-    };
+    let stack =
+        parse_arg("--bmos", |n, v| named(n, BmoStack::parse(v))).unwrap_or_else(BmoStack::paper);
     let workloads: Vec<Workload> = match arg("--workload").as_deref() {
         None | Some("all") => Workload::all().to_vec(),
-        Some(w) => match w.parse() {
-            Ok(w) => vec![w],
-            Err(e) => {
-                eprintln!("{e}");
-                std::process::exit(2);
-            }
-        },
+        Some(_) => parse_arg("--workload", choice).into_iter().collect(),
     };
     let instr = arg("--instr").unwrap_or_else(|| "manual".into());
     if !matches!(instr.as_str(), "manual" | "auto" | "place" | "none") {
@@ -257,24 +251,7 @@ fn main() {
         }
     }
 
-    if let Some(tenants) = arg("--tenants") {
-        let tenants: usize = match tenants.parse() {
-            Ok(n) if n > 0 => n,
-            _ => {
-                eprintln!("--tenants must be a positive integer, got {tenants:?}");
-                std::process::exit(2);
-            }
-        };
-        let policy = match arg("--irb-policy") {
-            Some(s) => match IrbPolicy::parse(&s) {
-                Ok(p) => p,
-                Err(e) => {
-                    eprintln!("--irb-policy: {e}");
-                    std::process::exit(2);
-                }
-            },
-            None => IrbPolicy::Shared,
-        };
+    if let Some(tenants) = tenants {
         let specs: Vec<TenantSpec> = (0..tenants)
             .map(|t| {
                 let mut s = TenantSpec::new(

@@ -6,10 +6,11 @@
 //!     --workload tatp --variant janus --tx 40 --json out.json --chrome out.trace.json
 //! ```
 //!
-//! Flags: `--workload`, `--variant`, `--cores N`, `--tx N`, `--seed N`
-//! (same vocabulary as `janus-cli`), `--sample N` (counter sample period in
-//! cycles for the Chrome counter tracks, default 2000), `--out PATH` (text
-//! report; always also printed to stdout), `--json PATH` (profile JSON,
+//! Flags: the run flags of `janus-cli` (`--workload`, `--variant`,
+//! `--cores N`, `--tx N` (default 40), `--seed N`, `--crc32`, `--scale`,
+//! ...), `--sample N` (counter sample period in cycles for the Chrome
+//! counter tracks, default 2000), `--out PATH` (text report; always also
+//! printed to stdout), `--json PATH` (profile JSON,
 //! schema `janus-profile-v1`), `--chrome PATH` (Chrome/Perfetto trace with
 //! occupancy counter tracks merged in).
 //!
@@ -19,8 +20,8 @@
 //! computes analytically. A disagreement means the profiler's causal chain
 //! reconstruction is broken, and the binary refuses to continue.
 
-use janus_bench::cli::{arg, arg_positive, write_output};
-use janus_bench::{arg_usize, run, RunSpec, SweepArgs, Variant};
+use janus_bench::cli::{arg, arg_positive, spec_from_args, write_output, RUN_FLAGS};
+use janus_bench::{run, RunSpec, SweepArgs, Variant};
 use janus_core::controller::MemoryController;
 use janus_core::{JanusConfig, SystemMode};
 use janus_nvm::addr::LineAddr;
@@ -52,44 +53,16 @@ fn calibration_probe() {
 }
 
 fn main() {
-    janus_bench::require_known_args(
-        &[
-            "--workload",
-            "--variant",
-            "--cores",
-            "--tx",
-            "--seed",
-            "--sample",
-            "--out",
-            "--json",
-            "--chrome",
-        ],
+    let mut base = RunSpec::new(Workload::Tatp, Variant::JanusManual);
+    base.transactions = 40;
+    base.profile = true;
+    let mut spec = spec_from_args(
+        base,
+        &RUN_FLAGS,
+        &["--sample", "--out", "--json", "--chrome"],
         &[],
     );
-    let workload: Workload = match arg("--workload").as_deref().unwrap_or("tatp").parse() {
-        Ok(w) => w,
-        Err(e) => {
-            eprintln!("{e}");
-            std::process::exit(2);
-        }
-    };
-    let variant = match arg("--variant").as_deref().unwrap_or("janus") {
-        "serialized" => Variant::Serialized,
-        "parallelized" => Variant::Parallelized,
-        "janus" | "manual" => Variant::JanusManual,
-        "auto" | "compiler" => Variant::JanusAuto,
-        "ideal" => Variant::Ideal,
-        other => {
-            eprintln!("unknown variant {other:?}");
-            std::process::exit(2);
-        }
-    };
-    let mut spec = RunSpec::new(workload, variant);
-    spec.cores = arg_positive("--cores").unwrap_or(1);
-    spec.transactions = arg_positive("--tx").unwrap_or(40);
-    spec.seed = arg_usize("--seed", 42) as u64;
-    spec.profile = true;
-    spec.sample_every = Some(arg_usize("--sample", 2000) as u64);
+    spec.sample_every = Some(arg_positive("--sample").unwrap_or(2000) as u64);
     SweepArgs::parse().apply(std::slice::from_mut(&mut spec));
 
     calibration_probe();

@@ -3,74 +3,44 @@
 //!
 //! Unlike the `janus-fig` entries (each pinned to one published plot), this is
 //! the open-ended driver for ad-hoc grids: pick workloads (`--workloads`
-//! CSV of slugs), variants (`--variants` CSV), `--tx`, `--cores`, and
+//! CSV of slugs), variants (`--variants` CSV, in the `--variant` spellings
+//! every binary accepts), `--tx`, `--cores`, and
 //! `--seed`, and get one row per point with cycles, throughput, and speedup
 //! over the grid's first variant. The JSONL sink and `--jobs N` apply as
 //! everywhere else — output is byte-identical at any worker count.
 
-use janus_bench::cli::{arg_positive, arg_str, arg_u64};
+use janus_bench::cli::{list, parse_arg, spec_from_args};
 use janus_bench::{banner, row, run_all, RunSpec, SweepArgs, Variant};
 use janus_workloads::Workload;
 
-/// The sweepable variants by slug (the grid's first entry is the speedup
-/// baseline).
-const VARIANTS: [(&str, Variant); 7] = [
-    ("serialized", Variant::Serialized),
-    ("parallelized", Variant::Parallelized),
-    ("janus-manual", Variant::JanusManual),
-    ("janus-auto", Variant::JanusAuto),
-    ("janus-pgo", Variant::JanusAutoPgo),
-    ("janus-autoplace", Variant::JanusAutoPlace),
-    ("ideal", Variant::Ideal),
-];
-
-fn parse_variant(s: &str) -> Variant {
-    match VARIANTS.iter().find(|(slug, _)| *slug == s) {
-        Some(&(_, v)) => v,
-        None => {
-            let known: Vec<&str> = VARIANTS.iter().map(|(s, _)| *s).collect();
-            eprintln!("error: unknown variant {s:?} (known: {})", known.join(", "));
-            std::process::exit(2);
-        }
-    }
-}
-
-fn parse_workload(s: &str) -> Workload {
-    s.parse().unwrap_or_else(|e| {
-        eprintln!("error: {e}");
-        std::process::exit(2);
-    })
-}
-
 fn main() {
-    janus_bench::require_known_args(
-        &["--workloads", "--variants", "--tx", "--cores", "--seed"],
+    let mut base = RunSpec::new(Workload::Tatp, Variant::Serialized);
+    base.transactions = 60;
+    let base = spec_from_args(
+        base,
+        &["--tx", "--cores", "--seed"],
+        &["--workloads", "--variants"],
         &[],
     );
-    let tx = arg_positive("--tx").unwrap_or(60);
-    let cores = arg_positive("--cores").unwrap_or(1);
-    let seed = arg_u64("--seed", 42);
-    let workloads: Vec<Workload> = match arg_str("--workloads", "").as_str() {
-        "" => Workload::all().to_vec(),
-        csv => csv.split(',').map(parse_workload).collect(),
-    };
-    let variants: Vec<Variant> = match arg_str("--variants", "").as_str() {
-        "" => vec![
+    let (tx, cores, seed) = (base.transactions, base.cores, base.seed);
+    let workloads: Vec<Workload> =
+        parse_arg("--workloads", list).unwrap_or_else(|| Workload::all().to_vec());
+    // The grid's first variant is the speedup baseline.
+    let variants: Vec<Variant> = parse_arg("--variants", list).unwrap_or_else(|| {
+        vec![
             Variant::Serialized,
             Variant::Parallelized,
             Variant::JanusManual,
             Variant::JanusAuto,
-        ],
-        csv => csv.split(',').map(parse_variant).collect(),
-    };
+        ]
+    });
 
     let mut specs = Vec::with_capacity(workloads.len() * variants.len());
     for &w in &workloads {
         for &v in &variants {
-            let mut s = RunSpec::new(w, v);
-            s.transactions = tx;
-            s.cores = cores;
-            s.seed = seed;
+            let mut s = base.clone();
+            s.workload = w;
+            s.variant = v;
             specs.push(s);
         }
     }

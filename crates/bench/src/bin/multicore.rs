@@ -18,7 +18,7 @@
 //! Output is deterministic: byte-identical across reruns and at any
 //! `--jobs` fan-out.
 
-use janus_bench::cli::{arg, arg_positive, arg_u64, flag};
+use janus_bench::cli::{arg, flag, spec_from_args};
 use janus_bench::{banner, row, run_all, OpenLoopSpec, RunSpec, SweepArgs, Variant};
 use janus_core::irb::IrbPolicy;
 use janus_sim::time::Cycles;
@@ -33,32 +33,19 @@ const MIX: [Workload; 4] = [
     Workload::Tpcc,
 ];
 
-fn parse_policy(s: &str) -> IrbPolicy {
-    IrbPolicy::parse(s).unwrap_or_else(|e| {
-        eprintln!("error: {e}");
-        std::process::exit(2);
-    })
-}
+/// The two default Poisson arrival rates.
+const RATES: [Arrival; 2] = [
+    Arrival::Poisson {
+        mean: Cycles(40_000),
+    },
+    Arrival::Poisson {
+        mean: Cycles(10_000),
+    },
+];
 
-fn parse_arrival(s: &str) -> Arrival {
-    Arrival::parse(s).unwrap_or_else(|e| {
-        eprintln!("error: {e}");
-        std::process::exit(2);
-    })
-}
-
-fn spec_for(
-    cores: usize,
-    tx: usize,
-    seed: u64,
-    policy: IrbPolicy,
-    tenants: usize,
-    arrival: Arrival,
-) -> RunSpec {
-    let mut s = RunSpec::new(MIX[0], Variant::JanusManual);
-    s.cores = cores;
-    s.transactions = tx;
-    s.seed = seed;
+/// `base` at one sweep point.
+fn spec_for(base: &RunSpec, policy: IrbPolicy, tenants: usize, arrival: Arrival) -> RunSpec {
+    let mut s = base.clone();
     s.irb_policy = policy;
     s.open_loop = Some(OpenLoopSpec {
         tenants,
@@ -68,52 +55,58 @@ fn spec_for(
     s
 }
 
+/// The sweep values of one dimension, or the single value its flag pins.
+fn dimension<T>(flag: &str, pinned: T, sweep: Vec<T>) -> Vec<T> {
+    if arg(flag).is_some() {
+        vec![pinned]
+    } else {
+        sweep
+    }
+}
+
 fn main() {
-    janus_bench::require_known_args(
+    let mut base = RunSpec::new(MIX[0], Variant::JanusManual);
+    base.cores = 4;
+    base.transactions = 40;
+    base.open_loop = Some(OpenLoopSpec {
+        tenants: 1,
+        arrival: RATES[0],
+        mix: MIX.to_vec(),
+    });
+    let base = spec_from_args(
+        base,
         &[
             "--tx",
             "--cores",
+            "--seed",
             "--tenants",
             "--irb-policy",
             "--arrival",
-            "--seed",
         ],
+        &[],
         &["--traffic-digest"],
     );
-    let tx = arg_positive("--tx").unwrap_or(40);
-    let cores = arg_positive("--cores").unwrap_or(4);
-    let seed = arg_u64("--seed", 42);
-    let policies: Vec<IrbPolicy> = match arg("--irb-policy") {
-        Some(p) => vec![parse_policy(&p)],
-        None => vec![
+    let ol = base.open_loop.as_ref().expect("open-loop base spec");
+    let policies = dimension(
+        "--irb-policy",
+        base.irb_policy,
+        vec![
             IrbPolicy::Shared,
             IrbPolicy::Banked { per_tenant: 64 },
             IrbPolicy::Partitioned { quota: 64 },
         ],
-    };
-    let tenant_counts: Vec<usize> = match arg_positive("--tenants") {
-        Some(t) => vec![t],
-        None => vec![1, 4, 16],
-    };
-    let arrivals: Vec<Arrival> = match arg("--arrival") {
-        Some(a) => vec![parse_arrival(&a)],
-        None => vec![
-            Arrival::Poisson {
-                mean: Cycles(40_000),
-            },
-            Arrival::Poisson {
-                mean: Cycles(10_000),
-            },
-        ],
-    };
+    );
+    let tenant_counts = dimension("--tenants", ol.tenants, vec![1, 4, 16]);
+    let arrivals = dimension("--arrival", ol.arrival, RATES.to_vec());
+    let (cores, tx) = (base.cores, base.transactions);
 
     if flag("--traffic-digest") {
         // Traffic fingerprints for every (tenants, arrival) point of the
         // sweep — independent of cores, policy, and jobs by construction.
         for &tenants in &tenant_counts {
             for &arrival in &arrivals {
-                let spec = spec_for(cores, tx, seed, IrbPolicy::Shared, tenants, arrival);
-                let streams: Vec<_> = generate_tenants(&spec.tenant_specs(), seed)
+                let spec = spec_for(&base, IrbPolicy::Shared, tenants, arrival);
+                let streams: Vec<_> = generate_tenants(&spec.tenant_specs(), spec.seed)
                     .into_iter()
                     .map(|t| t.stream)
                     .collect();
@@ -155,7 +148,7 @@ fn main() {
     for &policy in &policies {
         for &tenants in &tenant_counts {
             for &arrival in &arrivals {
-                specs.push(spec_for(cores, tx, seed, policy, tenants, arrival));
+                specs.push(spec_for(&base, policy, tenants, arrival));
             }
         }
     }

@@ -1,4 +1,11 @@
-//! Shared command-line parsing for the bench binaries.
+//! The text form of a [`RunSpec`] and the shared command-line parsing of
+//! the bench binaries.
+//!
+//! `KNOBS` is the one table that spells a spec as text: each entry ties a
+//! result-changing field to its flag, its JSONL label, one validating
+//! parser and one formatter. Binaries turn their run flags into a spec with
+//! [`spec_from_args`], [`RunSpec::labels`] writes the `spec.*` labels of
+//! every exported row from it, and [`RunSpec::from_labels`] reads a row back.
 //!
 //! Every bench binary takes `--name value` pairs from `std::env::args`. The
 //! strict validator ([`require_known_args`]) makes a typo a hard usage error
@@ -8,8 +15,249 @@
 
 use std::fmt;
 use std::ops::RangeBounds;
+use std::str::FromStr;
 
-use crate::RunSpec;
+use janus_bmo::BmoStack;
+use janus_core::irb::IrbPolicy;
+use janus_sim::time::Cycles;
+use janus_trace::MetricValue::{self, Float, Str, U64};
+use janus_workloads::traffic::Arrival;
+
+use crate::{OpenLoopSpec, RunSpec};
+use Flag::{Switch, Value};
+
+/// One result-changing field of a [`RunSpec`], spelled as text.
+pub(crate) struct Knob {
+    /// How the command line sets it.
+    pub(crate) flag: Flag,
+    /// The JSONL label key.
+    pub(crate) label: &'static str,
+    /// Validates a value and stores it in the spec. The second argument is
+    /// the flag or label being read, which the error message names.
+    pub(crate) parse: fn(&mut RunSpec, &str, &str) -> Result<(), String>,
+    /// The label value, `None` where the spec holds its [`RunSpec::new`]
+    /// default and the row carries no label. The first seven knobs are
+    /// always labelled, as every published row is.
+    pub(crate) format: fn(&RunSpec) -> Option<MetricValue>,
+}
+
+/// A [`Knob`]'s command-line form.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub(crate) enum Flag {
+    /// `--flag value`.
+    Value(&'static str),
+    /// A bare `--flag`, which sets the value `1`.
+    Switch(&'static str),
+    /// No flag: only sweeps set it.
+    None,
+}
+
+impl Flag {
+    /// The flag's spelling, if it has one.
+    pub(crate) fn name(self) -> Option<&'static str> {
+        match self {
+            Value(f) | Switch(f) => Some(f),
+            Flag::None => None,
+        }
+    }
+}
+
+/// Every knob, in label order.
+pub(crate) const KNOBS: &[Knob] = &[
+    Knob {
+        flag: Value("--workload"),
+        label: "spec.workload",
+        parse: |s, n, v| choice(n, v).map(|w| s.workload = w),
+        format: |s| Some(Str(s.workload.slug().into())),
+    },
+    Knob {
+        flag: Value("--variant"),
+        label: "spec.variant",
+        parse: |s, n, v| choice(n, v).map(|x| s.variant = x),
+        format: |s| Some(Str(s.variant.label().into())),
+    },
+    Knob {
+        flag: Value("--cores"),
+        label: "spec.cores",
+        parse: |s, n, v| positive(n, v).map(|x| s.cores = x),
+        format: |s| Some(U64(s.cores as u64)),
+    },
+    Knob {
+        flag: Value("--tx"),
+        label: "spec.transactions",
+        parse: |s, n, v| positive(n, v).map(|x| s.transactions = x),
+        format: |s| Some(U64(s.transactions as u64)),
+    },
+    Knob {
+        flag: Value("--size"),
+        label: "spec.tx_size_bytes",
+        parse: |s, n, v| unsigned(n, v).map(|x| s.tx_size_bytes = x),
+        format: |s| Some(U64(s.tx_size_bytes as u64)),
+    },
+    Knob {
+        flag: Value("--seed"),
+        label: "spec.seed",
+        parse: |s, n, v| unsigned(n, v).map(|x| s.seed = x),
+        format: |s| Some(U64(s.seed)),
+    },
+    Knob {
+        flag: Value("--dedup"),
+        label: "spec.dedup_ratio",
+        parse: |s, n, v| number_in(n, v, 0.0..=1.0).map(|x| s.dedup_ratio = x),
+        format: |s| Some(Float(s.dedup_ratio)),
+    },
+    Knob {
+        flag: Switch("--crc32"),
+        label: "spec.crc32",
+        parse: |s, n, v| positive(n, v).map(|_| s.crc32 = true),
+        format: |s| s.crc32.then_some(U64(1)),
+    },
+    Knob {
+        flag: Value("--scale"),
+        label: "spec.resource_scale",
+        parse: |s, n, v| {
+            match v {
+                "unlimited" => Ok(usize::MAX),
+                _ => positive(n, v).map_err(|e| format!("{e} or \"unlimited\"")),
+            }
+            .map(|k| s.resource_scale = Some(k))
+        },
+        format: |s| match s.resource_scale? {
+            usize::MAX => Some(Str("unlimited".into())),
+            k => Some(Str(k.to_string())),
+        },
+    },
+    Knob {
+        flag: Value("--skew"),
+        label: "spec.key_skew",
+        parse: |s, n, v| number_in(n, v, 0.0..1.0).map(|x| s.key_skew = Some(x)),
+        format: |s| s.key_skew.map(Float),
+    },
+    Knob {
+        flag: Value("--aux"),
+        label: "spec.aux_tx_fraction",
+        parse: |s, n, v| number_in(n, v, 0.0..=1.0).map(|x| s.aux_tx_fraction = x),
+        format: |s| (s.aux_tx_fraction != 0.0).then_some(Float(s.aux_tx_fraction)),
+    },
+    Knob {
+        flag: Value("--bmos"),
+        label: "spec.bmo_stack",
+        parse: |s, n, v| {
+            named(n, BmoStack::parse(v)).map(|b| s.bmo_stack = Some(b.members().to_vec()))
+        },
+        format: |s| Some(Str(BmoStack::new(s.bmo_stack.clone()?).ok()?.id_list())),
+    },
+    Knob {
+        flag: Value("--tenants"),
+        label: "spec.tenants",
+        parse: |s, n, v| positive(n, v).map(|x| open_loop(s).tenants = x),
+        format: |s| Some(U64(s.open_loop.as_ref()?.tenants as u64)),
+    },
+    Knob {
+        flag: Value("--arrival"),
+        label: "spec.arrival",
+        parse: |s, n, v| named(n, Arrival::parse(v)).map(|x| open_loop(s).arrival = x),
+        format: |s| Some(Str(s.open_loop.as_ref()?.arrival.to_string())),
+    },
+    Knob {
+        flag: Flag::None,
+        label: "spec.mix",
+        parse: |s, n, v| list(n, v).map(|x| open_loop(s).mix = x),
+        format: |s| {
+            let mix: Vec<&str> = s.open_loop.as_ref()?.mix.iter().map(|w| w.slug()).collect();
+            Some(Str(mix.join(",")))
+        },
+    },
+    // Open-loop rows always name their policy; closed-loop rows only a
+    // non-default one.
+    Knob {
+        flag: Value("--irb-policy"),
+        label: "spec.irb_policy",
+        parse: |s, n, v| named(n, IrbPolicy::parse(v)).map(|x| s.irb_policy = x),
+        format: |s| {
+            (s.open_loop.is_some() || s.irb_policy != IrbPolicy::Shared)
+                .then(|| Str(s.irb_policy.to_string()))
+        },
+    },
+];
+
+/// The closed-loop run flags `janus-cli` and `janus-prof` share.
+pub const RUN_FLAGS: [&str; 12] = [
+    "--workload",
+    "--variant",
+    "--cores",
+    "--tx",
+    "--size",
+    "--dedup",
+    "--seed",
+    "--crc32",
+    "--scale",
+    "--skew",
+    "--aux",
+    "--bmos",
+];
+
+/// The open-loop half of `s`, made with one placeholder tenant if the spec
+/// was closed-loop: the other open-loop knobs fill it in.
+fn open_loop(s: &mut RunSpec) -> &mut OpenLoopSpec {
+    let workload = s.workload;
+    s.open_loop.get_or_insert_with(|| OpenLoopSpec {
+        tenants: 1,
+        arrival: Arrival::Poisson {
+            mean: Cycles(40_000),
+        },
+        mix: vec![workload],
+    })
+}
+
+/// `v` as a count of at least 1.
+fn positive(name: &str, v: &str) -> Result<usize, String> {
+    match v.parse() {
+        Ok(n) if n > 0 => Ok(n),
+        _ => Err(format!("{name} requires a positive integer value")),
+    }
+}
+
+/// `v` as an unsigned integer.
+fn unsigned<T: FromStr>(name: &str, v: &str) -> Result<T, String> {
+    v.parse()
+        .map_err(|_| format!("{name} requires an unsigned integer value"))
+}
+
+/// `v` as a number in `range`; NaN is never in range.
+fn number_in(
+    name: &str,
+    v: &str,
+    range: impl RangeBounds<f64> + fmt::Debug,
+) -> Result<f64, String> {
+    match v.parse() {
+        Ok(x) if range.contains(&x) => Ok(x),
+        Ok(x) => Err(format!("{name} requires a value in {range:?}, got {x}")),
+        Err(_) => Err(format!("{name} requires a number value")),
+    }
+}
+
+/// `v` as one of a named set ([`janus_workloads::Workload`],
+/// [`crate::Variant`]).
+pub fn choice<T: FromStr>(name: &str, v: &str) -> Result<T, String>
+where
+    T::Err: fmt::Display,
+{
+    named(name, v.trim().parse())
+}
+
+/// A parse result whose error names the flag or label.
+pub fn named<T, E: fmt::Display>(name: &str, r: Result<T, E>) -> Result<T, String> {
+    r.map_err(|e| format!("{name}: {e}"))
+}
+
+/// `v` as a non-empty comma-separated list of [`choice`]s.
+pub fn list<T: FromStr>(name: &str, v: &str) -> Result<Vec<T>, String>
+where
+    T::Err: fmt::Display,
+{
+    v.split(',').map(|item| choice(name, item)).collect()
+}
 
 /// Reads the value following `--name`, if present.
 pub fn arg(name: &str) -> Option<String> {
@@ -25,46 +273,58 @@ pub fn flag(name: &str) -> bool {
     std::env::args().any(|a| a == name)
 }
 
-/// Reads `--name value` as a string, with a default.
-pub fn arg_str(name: &str, default: &str) -> String {
-    arg(name).unwrap_or_else(|| default.to_string())
+/// Reads `--name value` through `parse`, which takes the flag name and its
+/// value: `None` when absent. A flag followed by a missing or invalid value is a
+/// hard usage error: the process exits with status 2 rather than silently
+/// running the experiment with the default.
+pub fn parse_arg<T>(name: &str, parse: impl Fn(&str, &str) -> Result<T, String>) -> Option<T> {
+    let args: Vec<String> = std::env::args().collect();
+    let i = args.iter().position(|a| a == name)?;
+    let v = args.get(i + 1).map(String::as_str).unwrap_or("");
+    Some(parse(name, v).unwrap_or_else(|e| usage_error(&e)))
 }
 
-/// Reads `--name value` from the process arguments, with a default.
-///
-/// A flag that is present but followed by a missing or unparseable value is
-/// a hard usage error: the process exits with status 2 rather than
-/// silently running the experiment with the default.
-pub fn arg_usize(name: &str, default: usize) -> usize {
-    parse_arg(name, "an unsigned integer").unwrap_or(default)
-}
-
-/// [`arg_usize`] for counts that must be at least 1 (`--tx`, `--jobs`,
-/// `--cores`, ...): `None` when absent, and a zero value is a usage error
-/// too.
+/// [`parse_arg`] for counts that must be at least 1 (`--tx`, `--jobs`,
+/// `--cores`, ...).
 pub fn arg_positive(name: &str) -> Option<usize> {
-    let what = "a positive integer";
-    match parse_arg(name, what) {
-        Some(0) => usage_error(&format!("{name} requires {what} value")),
-        n => n,
-    }
+    parse_arg(name, positive)
 }
 
-/// [`arg_usize`] for `u64` values (seeds, cycle counts).
-pub fn arg_u64(name: &str, default: u64) -> u64 {
-    parse_arg(name, "an unsigned integer").unwrap_or(default)
-}
-
-/// Reads `--name value` as a floating-point value that must lie in `range`
-/// (ratios, skew parameters): `None` when absent. A malformed,
-/// out-of-range or NaN value is a usage error (exit status 2).
-pub fn arg_f64_in(name: &str, range: impl RangeBounds<f64> + fmt::Debug) -> Option<f64> {
-    match parse_arg(name, "a number") {
-        Some(v) if !range.contains(&v) => {
-            usage_error(&format!("{name} requires a value in {range:?}, got {v}"))
+/// Checks the process arguments against `flag_names` (flags of `KNOBS`)
+/// plus the binary's own `value_flags` and `bool_flags`
+/// ([`require_known_args`]), then returns `base` with every knob flag
+/// present applied. An invalid value exits with status 2.
+///
+/// # Panics
+///
+/// Panics if a name in `flag_names` is not a `KNOBS` flag.
+pub fn spec_from_args(
+    mut base: RunSpec,
+    flag_names: &[&str],
+    value_flags: &[&str],
+    bool_flags: &[&str],
+) -> RunSpec {
+    let knob = |f: &str| KNOBS.iter().find(|k| k.flag.name() == Some(f));
+    let (mut values, mut switches) = (value_flags.to_vec(), bool_flags.to_vec());
+    for &f in flag_names {
+        match knob(f).map(|k| k.flag) {
+            Some(Value(_)) => values.push(f),
+            Some(Switch(_)) => switches.push(f),
+            _ => panic!("{f} is not a RunSpec knob flag"),
         }
-        v => v,
     }
+    require_known_args(&values, &switches);
+    for &f in flag_names {
+        let k = knob(f).expect("a knob flag");
+        let given = match k.flag {
+            Switch(_) => flag(f).then(|| "1".to_string()),
+            _ => arg(f),
+        };
+        if let Some(v) = given {
+            (k.parse)(&mut base, f, &v).unwrap_or_else(|e| usage_error(&e));
+        }
+    }
+    base
 }
 
 /// Writes `contents` to `path`, or exits with status 1 naming the path and
@@ -74,15 +334,6 @@ pub fn write_output(path: &str, contents: impl AsRef<[u8]>) {
     if let Err(e) = std::fs::write(path, contents) {
         eprintln!("error: cannot write {path}: {e}");
         std::process::exit(1);
-    }
-}
-
-fn parse_arg<T: std::str::FromStr>(name: &str, what: &str) -> Option<T> {
-    let args: Vec<String> = std::env::args().collect();
-    let i = args.iter().position(|a| a == name)?;
-    match args.get(i + 1).map(|v| v.parse()) {
-        Some(Ok(v)) => Some(v),
-        _ => usage_error(&format!("{name} requires {what} value")),
     }
 }
 
@@ -112,11 +363,7 @@ impl SweepArgs {
     pub fn parse() -> Self {
         let jobs = arg_positive("--jobs").unwrap_or_else(|| match std::env::var("JANUS_JOBS") {
             Err(std::env::VarError::NotPresent) => 1,
-            v => v
-                .ok()
-                .and_then(|v| v.parse().ok())
-                .filter(|&n| n >= 1)
-                .unwrap_or_else(|| usage_error("JANUS_JOBS requires a positive integer value")),
+            v => positive("JANUS_JOBS", &v.unwrap_or_default()).unwrap_or_else(|e| usage_error(&e)),
         });
         SweepArgs {
             jobs,

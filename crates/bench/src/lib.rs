@@ -25,7 +25,7 @@ use janus_trace::{TraceConfig, Tracer};
 use janus_workloads::traffic::{generate_tenants, Arrival, TenantSpec};
 use janus_workloads::{generate, Instrumentation, Workload, WorkloadConfig};
 
-pub use cli::{arg_usize, require_known_args, SweepArgs};
+pub use cli::{require_known_args, SweepArgs};
 
 /// The five evaluated system variants.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
@@ -53,6 +53,18 @@ pub enum Variant {
 }
 
 impl Variant {
+    /// All eight variants, in [`Variant::slug`] order.
+    pub const ALL: [Variant; 8] = [
+        Variant::Serialized,
+        Variant::Parallelized,
+        Variant::JanusManual,
+        Variant::JanusAuto,
+        Variant::JanusAutoPgo,
+        Variant::JanusAutoPlace,
+        Variant::JanusFixed,
+        Variant::Ideal,
+    ];
+
     /// The simulator mode for this variant.
     pub fn mode(self) -> SystemMode {
         match self {
@@ -79,6 +91,56 @@ impl Variant {
             Variant::JanusFixed => "Janus (Fixed)",
             Variant::Ideal => "Non-blocking",
         }
+    }
+
+    /// Machine-safe name, the canonical command-line spelling.
+    pub fn slug(self) -> &'static str {
+        match self {
+            Variant::Serialized => "serialized",
+            Variant::Parallelized => "parallelized",
+            Variant::JanusManual => "janus-manual",
+            Variant::JanusAuto => "janus-auto",
+            Variant::JanusAutoPgo => "janus-pgo",
+            Variant::JanusAutoPlace => "janus-autoplace",
+            Variant::JanusFixed => "janus-fixed",
+            Variant::Ideal => "ideal",
+        }
+    }
+
+    /// The instrumentation the workload generator emits for this variant:
+    /// hand-placed calls for the manual and fixed variants, none for the
+    /// rest (the compiler-pass variants instrument the plain program).
+    pub fn instrumentation(self) -> Instrumentation {
+        match self {
+            Variant::JanusManual | Variant::JanusFixed => Instrumentation::Manual,
+            _ => Instrumentation::None,
+        }
+    }
+}
+
+/// Accepts the [`Variant::slug`], the [`Variant::label`] and the short
+/// spellings (`janus`, `manual`, `auto`, `compiler`, `pgo`, `profile`,
+/// `place`, `autoplace`, `fixed`), ignoring case.
+impl std::str::FromStr for Variant {
+    type Err = String;
+
+    fn from_str(s: &str) -> Result<Self, Self::Err> {
+        Ok(match s.to_ascii_lowercase().as_str() {
+            "serialized" => Variant::Serialized,
+            "parallelized" | "parallelization" => Variant::Parallelized,
+            "janus-manual" | "janus (manual)" | "janus" | "manual" => Variant::JanusManual,
+            "janus-auto" | "janus (auto)" | "auto" | "compiler" => Variant::JanusAuto,
+            "janus-pgo" | "janus (pgo)" | "pgo" | "profile" => Variant::JanusAutoPgo,
+            "janus-autoplace" | "janus (autoplace)" | "place" | "autoplace" => {
+                Variant::JanusAutoPlace
+            }
+            "janus-fixed" | "janus (fixed)" | "fixed" => Variant::JanusFixed,
+            "ideal" | "non-blocking" => Variant::Ideal,
+            _ => {
+                let known: Vec<&str> = Variant::ALL.iter().map(|v| v.slug()).collect();
+                return Err(format!("unknown variant {s:?} (known: {known:?})"));
+            }
+        })
     }
 }
 
@@ -111,7 +173,7 @@ pub struct RunSpec {
     /// Event tracing for this run (`None` = disabled, the zero-overhead
     /// default). When set, [`RunResult::tracer`] holds the captured events.
     pub trace: Option<TraceConfig>,
-    /// Causal profiling (`--profile`): trace in causal mode so the stream
+    /// Causal profiling (`janus-prof`): trace in causal mode so the stream
     /// carries `prof_*` link events and `janus_prof::Profile::build` can
     /// reconstruct per-write causal chains. Uses [`RunSpec::trace`]'s ring
     /// capacity when set, else a ring sized for whole-run capture.
@@ -120,9 +182,7 @@ pub struct RunSpec {
     /// [`RunResult::samples`] (profile runs export these as Chrome
     /// counter tracks).
     pub sample_every: Option<u64>,
-    /// BMO stack override (`None` = the paper's default trio). Published
-    /// figures assume the default; non-default stacks label their metrics
-    /// with `spec.bmo_stack`.
+    /// BMO stack override (`None` = the paper's default trio).
     pub bmo_stack: Option<Vec<janus_bmo::BmoId>>,
     /// Run the one-event-at-a-time legacy dispatch loop instead of the
     /// batched one (`--legacy-events`, see [`SweepArgs`]). Both paths
@@ -130,9 +190,7 @@ pub struct RunSpec {
     /// batched loop is differentially tested against.
     pub legacy_events: bool,
     /// How IRB capacity is apportioned across threads/tenants
-    /// ([`IrbPolicy::Shared`] = the paper's configuration; metrics are only
-    /// labeled for non-default policies or open-loop runs, so the published
-    /// closed-loop JSONL stays byte-identical).
+    /// ([`IrbPolicy::Shared`] = the paper's configuration).
     pub irb_policy: IrbPolicy,
     /// Force the engine's interpreted scheduler instead of compiled-template
     /// replay (`--interpreted-sched`, see [`SweepArgs`]). Both
@@ -212,10 +270,7 @@ impl RunSpec {
     /// Panics if the spec has no [`RunSpec::open_loop`] half.
     pub fn tenant_specs(&self) -> Vec<TenantSpec> {
         let ol = self.open_loop.as_ref().expect("an open-loop RunSpec");
-        let instrumentation = match self.variant {
-            Variant::JanusManual | Variant::JanusFixed => Instrumentation::Manual,
-            _ => Instrumentation::None,
-        };
+        let instrumentation = self.variant.instrumentation();
         (0..ol.tenants)
             .map(|t| TenantSpec {
                 workload: ol.mix[t % ol.mix.len()],
@@ -228,6 +283,63 @@ impl RunSpec {
             .collect()
     }
 
+    /// The `spec.*` labels that identify this spec in a results row, one
+    /// per `cli::KNOBS` entry that is not at its default.
+    pub fn labels(&self) -> MetricsRegistry {
+        // Every field is either a knob or named here as result-neutral, so
+        // a new field does not compile until it is classified.
+        let RunSpec {
+            workload: _,
+            variant: _,
+            cores: _,
+            transactions: _,
+            dedup_ratio: _,
+            tx_size_bytes: _,
+            crc32: _,
+            resource_scale: _,
+            seed: _,
+            key_skew: _,
+            aux_tx_fraction: _,
+            bmo_stack: _,
+            irb_policy: _,
+            open_loop: _,
+            // Not labelled: observation and twin-path switches must not
+            // change results.
+            trace: _,
+            profile: _,
+            sample_every: _,
+            legacy_events: _,
+            interpreted_sched: _,
+        } = self;
+        let mut m = MetricsRegistry::new();
+        for k in cli::KNOBS {
+            if let Some(v) = (k.format)(self) {
+                m.set(k.label, v);
+            }
+        }
+        m
+    }
+
+    /// Reads a spec back from a results row's `spec.*` labels (other
+    /// metrics are ignored), through the same parsers as the command-line
+    /// flags. The labels must be exactly those the spec writes, in order:
+    /// an unknown, missing or default-valued label is an error.
+    pub fn from_labels(row: &MetricsRegistry) -> Result<RunSpec, String> {
+        let mut spec = RunSpec::new(Workload::Tatp, Variant::Serialized);
+        let mut given = MetricsRegistry::new();
+        for (name, v) in row.iter().filter(|(name, _)| name.starts_with("spec.")) {
+            let knob = cli::KNOBS.iter().find(|k| k.label == name);
+            let knob = knob.ok_or_else(|| format!("unknown label {name}"))?;
+            (knob.parse)(&mut spec, name, &v.to_string())?;
+            given.set(name, v.clone());
+        }
+        let (given, written) = (given.to_json(), spec.labels().to_json());
+        if given != written {
+            return Err(format!("labels {given} read back as {written}"));
+        }
+        Ok(spec)
+    }
+
     #[allow(clippy::type_complexity)]
     fn program_for_core(
         &self,
@@ -237,15 +349,11 @@ impl RunSpec {
         janus_nvm::store::LineStore,
         Vec<(janus_nvm::addr::LineAddr, u64)>,
     ) {
-        let instrumentation = match self.variant {
-            Variant::JanusManual | Variant::JanusFixed => Instrumentation::Manual,
-            _ => Instrumentation::None,
-        };
         let cfg = WorkloadConfig {
             transactions: self.transactions,
             seed: self.seed,
             dedup_ratio: self.dedup_ratio,
-            instrumentation,
+            instrumentation: self.variant.instrumentation(),
             tx_size_bytes: self.tx_size_bytes,
             key_skew: self.key_skew,
             aux_tx_fraction: self.aux_tx_fraction,
@@ -288,33 +396,10 @@ impl RunResult {
         self.report.cycles.0 as f64
     }
 
-    /// Machine-readable metrics for this run: `spec.*` labels identifying
-    /// the configuration followed by the report's full registry.
+    /// Machine-readable metrics for this run: the spec's
+    /// [`labels`](RunSpec::labels) followed by the report's full registry.
     pub fn metrics(&self) -> MetricsRegistry {
-        let mut m = MetricsRegistry::new();
-        m.set_str("spec.workload", self.spec.workload.slug());
-        m.set_str("spec.variant", self.spec.variant.label());
-        m.set_u64("spec.cores", self.spec.cores as u64);
-        m.set_u64("spec.transactions", self.spec.transactions as u64);
-        m.set_u64("spec.tx_size_bytes", self.spec.tx_size_bytes as u64);
-        m.set_u64("spec.seed", self.spec.seed);
-        m.set_f64("spec.dedup_ratio", self.spec.dedup_ratio);
-        // Only non-default stacks are labeled, so default-stack JSONL
-        // output stays byte-identical to the published results.
-        if let Some(stack) = &self.spec.bmo_stack {
-            let ids: Vec<&str> = stack.iter().map(|id| id.as_str()).collect();
-            m.set_str("spec.bmo_stack", ids.join(","));
-        }
-        // Same pattern for the multi-tenant front end: open-loop runs are
-        // fully labeled, and the only closed-loop addition is a non-default
-        // IRB policy — the published closed-loop JSONL never had either.
-        if let Some(ol) = &self.spec.open_loop {
-            m.set_u64("spec.tenants", ol.tenants as u64);
-            m.set_str("spec.arrival", ol.arrival.to_string());
-            m.set_str("spec.irb_policy", self.spec.irb_policy.to_string());
-        } else if self.spec.irb_policy != IrbPolicy::Shared {
-            m.set_str("spec.irb_policy", self.spec.irb_policy.to_string());
-        }
+        let mut m = self.spec.labels();
         for (name, value) in self.report.to_metrics().iter() {
             m.set(name, value.clone());
         }
@@ -615,6 +700,93 @@ mod tests {
         let mut plain = RunSpec::new(Workload::ArraySwap, Variant::JanusManual);
         plain.transactions = 8;
         assert_eq!(run(plain).metrics().get("spec.bmo_stack"), None);
+    }
+
+    #[test]
+    fn variant_slugs_are_machine_safe_and_round_trip() {
+        for v in Variant::ALL {
+            let slug = v.slug();
+            assert!(
+                slug.chars().all(|c| c.is_ascii_lowercase() || c == '-'),
+                "{v:?}: slug {slug:?} is not machine-safe"
+            );
+            assert_eq!(slug.parse::<Variant>(), Ok(v), "{v:?}");
+            // Result rows name the variant by label, and replay reads it back.
+            assert_eq!(v.label().parse::<Variant>(), Ok(v), "{v:?}");
+        }
+        assert!("bogus".parse::<Variant>().is_err());
+    }
+
+    #[test]
+    fn knob_flags_and_labels_are_unique() {
+        let flags: Vec<&str> = cli::KNOBS.iter().filter_map(|k| k.flag.name()).collect();
+        let labels: Vec<&str> = cli::KNOBS.iter().map(|k| k.label).collect();
+        for names in [&flags, &labels] {
+            let unique: std::collections::BTreeSet<&&str> = names.iter().collect();
+            assert_eq!(unique.len(), names.len(), "{names:?}");
+        }
+        for f in cli::RUN_FLAGS {
+            assert!(flags.contains(&f), "{f} is not a knob flag");
+        }
+    }
+
+    #[test]
+    fn labels_read_back_into_the_same_spec() {
+        let mut closed = RunSpec::new(Workload::Tpcc, Variant::JanusAutoPlace);
+        closed.crc32 = true;
+        closed.resource_scale = Some(usize::MAX);
+        closed.key_skew = Some(0.9);
+        closed.aux_tx_fraction = 0.25;
+        closed.bmo_stack = Some(Vec::new());
+        closed.irb_policy = IrbPolicy::Banked { per_tenant: 8 };
+        let mut open = RunSpec::new(Workload::Queue, Variant::Ideal);
+        open.open_loop = Some(OpenLoopSpec {
+            tenants: 3,
+            arrival: Arrival::Bursty {
+                mean: janus_sim::time::Cycles(900),
+                burst: 4,
+                intra: janus_sim::time::Cycles(50),
+            },
+            mix: vec![Workload::BTree, Workload::Tatp],
+        });
+        for spec in [
+            RunSpec::new(Workload::Queue, Variant::Serialized),
+            closed,
+            open,
+        ] {
+            let labels = spec.labels();
+            let back = RunSpec::from_labels(&labels).expect("labels read back");
+            assert_eq!(back.labels().to_json(), labels.to_json());
+        }
+    }
+
+    #[test]
+    fn from_labels_rejects_unknown_missing_and_default_labels() {
+        use janus_trace::MetricValue::{Float, U64};
+        let labels = RunSpec::new(Workload::Queue, Variant::Serialized).labels();
+        let with = |name: &str, v| {
+            let mut m = labels.clone();
+            m.set(name, v);
+            RunSpec::from_labels(&m).unwrap_err()
+        };
+        assert!(with("spec.bogus", U64(1)).contains("unknown label spec.bogus"));
+        let err = with("spec.cores", U64(0));
+        assert!(
+            err.contains("spec.cores requires a positive integer"),
+            "{err}"
+        );
+        // A default value is never labelled, and an open-loop row names all
+        // of its open-loop knobs.
+        for (name, v) in [
+            ("spec.aux_tx_fraction", Float(0.0)),
+            ("spec.tenants", U64(2)),
+        ] {
+            assert!(with(name, v).contains("read back as"), "{name}");
+        }
+        let mut partial = MetricsRegistry::new();
+        partial.set_str("spec.variant", "Non-blocking");
+        let err = RunSpec::from_labels(&partial).unwrap_err();
+        assert!(err.contains("read back as {\"spec.workload\""), "{err}");
     }
 
     #[test]

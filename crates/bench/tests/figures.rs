@@ -105,7 +105,10 @@ fn malformed_shared_values_are_usage_errors() {
         (multicore, &["--tenants", "0"], None),
         (prof, &["--cores", "0"], None),
         (prof, &["--tx", "0"], None),
+        (prof, &["--sample", "0"], None),
         (lint, &["--tx", "0"], None),
+        (lint, &["--tenants", "0"], None),
+        (lint, &["--tenants", "abc"], None),
     ];
     for &(exe, args, jobs_env) in cases {
         assert_usage_error(exe, args, jobs_env, "positive integer");
@@ -141,37 +144,55 @@ fn malformed_or_out_of_range_knobs_are_usage_errors() {
 fn unwritable_output_paths_are_errors() {
     // A path below a regular file can never be created.
     let bad = concat!(env!("CARGO_MANIFEST_DIR"), "/Cargo.toml/x.txt");
-    let cli = env!("CARGO_BIN_EXE_janus-cli");
     let prof = env!("CARGO_BIN_EXE_janus-prof");
-    for (exe, flag) in [
-        (cli, "--profile"),
-        (prof, "--out"),
-        (prof, "--json"),
-        (prof, "--chrome"),
-    ] {
-        let out = run_bin(exe, &["--tx", "4", flag, bad], None);
+    for flag in ["--out", "--json", "--chrome"] {
+        let out = run_bin(prof, &["--tx", "4", flag, bad], None);
         let stderr = String::from_utf8_lossy(&out.stderr);
-        assert_eq!(out.status.code(), Some(1), "{exe} {flag}: {stderr}");
+        assert_eq!(out.status.code(), Some(1), "{flag}: {stderr}");
         assert!(
             stderr.contains(&format!("cannot write {bad}")),
-            "{exe} {flag}: {stderr}"
+            "{flag}: {stderr}"
         );
     }
 }
 
 #[test]
 fn unknown_figure_or_argument_is_a_usage_error() {
-    for args in [
-        &["fig99"][..],
-        &[],
-        &["table1", "--bogus"],
-        &["--list", "x"],
+    let fig = env!("CARGO_BIN_EXE_janus-fig");
+    for (exe, args) in [
+        (fig, &["fig99"][..]),
+        (fig, &[]),
+        (fig, &["table1", "--bogus"]),
+        (fig, &["--list", "x"]),
         // `--jobs` is the only fan-out flag; there is no process-level one.
-        &["fig9", "--shards", "2"],
+        (fig, &["fig9", "--shards", "2"]),
+        // Causal profiles come from `janus-prof --out`.
+        (env!("CARGO_BIN_EXE_janus-cli"), &["--profile", "x"]),
     ] {
-        let out = janus_fig(args);
+        let out = run_bin(exe, args, None);
         assert_eq!(out.status.code(), Some(2), "{args:?} must be a usage error");
         assert!(out.stdout.is_empty(), "{args:?} printed output anyway");
+    }
+}
+
+/// Every binary that takes a variant reads it through `Variant`'s one
+/// vocabulary: each accepts the spellings the others did.
+#[test]
+fn every_binary_accepts_the_shared_variant_vocabulary() {
+    for (exe, args) in [
+        (
+            env!("CARGO_BIN_EXE_janus-cli"),
+            ["--variant", "janus-manual"],
+        ),
+        (env!("CARGO_BIN_EXE_janus-sweep"), ["--variants", "janus"]),
+        (env!("CARGO_BIN_EXE_janus-prof"), ["--variant", "pgo"]),
+    ] {
+        let out = run_bin(exe, &[args[0], args[1], "--tx", "4"], None);
+        assert!(
+            out.status.success(),
+            "{exe} {args:?}: {}",
+            String::from_utf8_lossy(&out.stderr)
+        );
     }
 }
 

@@ -117,10 +117,16 @@ fn json_fix_report_is_stable_and_sorted() {
 
 #[test]
 fn tenant_flags_are_validated() {
-    let zero = lint(&["--tenants", "0"]);
-    assert_eq!(zero.status.code(), Some(2));
-    let bad_policy = lint(&["--tenants", "2", "--irb-policy", "bogus"]);
-    assert_eq!(bad_policy.status.code(), Some(2));
+    for args in [
+        &["--tenants", "0"][..],
+        &["--tenants", "2", "--irb-policy", "bogus"],
+        // A policy only shapes the tenant bound; alone it would be ignored.
+        &["--irb-policy", "banked:8"],
+    ] {
+        let out = lint(args);
+        assert_eq!(out.status.code(), Some(2), "args {args:?}");
+        assert!(out.stdout.is_empty(), "args {args:?} printed output anyway");
+    }
 }
 
 #[test]
