@@ -6,36 +6,34 @@
 //!     --workload btree --variant janus --cores 2 --tx 200 --dump
 //! ```
 //!
-//! Flags: `--workload <array|queue|hash|rbtree|btree|tatp|tpcc>`,
+//! Flags: every knob of the table in `janus_bench::cli`, shared with
+//! `janus-prof`:
+//! `--workload <array|queue|hash|rbtree|btree|tatp|tpcc>` and
 //! `--variant <serialized|parallelized|janus|auto|pgo|place|fixed|ideal>`
-//! (or any other spelling `Variant` parses; accepts a comma-separated list
-//! to sweep several variants in one invocation; `fixed` = manual
-//! instrumentation with a seeded §6 misuse repaired by the
+//! (or any other spelling `Workload`/`Variant` parses; each takes a
+//! comma-separated list, and the run is the workload-major grid of the two;
+//! `fixed` = manual instrumentation with a seeded §6 misuse repaired by the
 //! `janus-lint --fix` engine),
 //! `--cores N`, `--tx N`, `--size BYTES`, `--dedup RATIO`, `--seed N`,
 //! `--crc32`, `--scale <N|unlimited>`, `--skew THETA`, `--aux FRACTION`,
 //! `--bmos <id,...|none>` (BMO stack override; see `--list-bmos`),
-//! `--jobs N` (worker threads for multi-variant sweeps; also honours the
+//! `--irb-policy <shared|banked[:N]|partitioned[:N]>`, and the open-loop
+//! knobs `--tenants N`, `--arrival <poisson:MEAN|bursty:MEAN:BURST[:INTRA]>`
+//! and `--mix <workload,...>` (any of them switches to open-loop tenants on
+//! `--cores` worker cores; the mix defaults to the `--workload`);
+//! `--jobs N` (worker threads for multi-spec grids; also honours the
 //! `JANUS_JOBS` environment variable; output is identical at any value),
-//! `--dump` (gem5-style stats to stdout). The run flags come from the
-//! knob table in `janus_bench::cli` and are shared with `janus-prof`,
-//! which writes causal profiles.
+//! `--dump` (gem5-style stats to stdout).
 
-use janus_bench::cli::{self, flag, spec_from_args, RUN_FLAGS};
+use janus_bench::cli::{flag, specs_from_args};
 use janus_bench::{run_all, RunSpec, SweepArgs, Variant};
 use janus_bmo::BmoStack;
 use janus_workloads::Workload;
 
 fn main() {
-    // `--variant` takes a list here, so it is read apart from the knobs.
-    let knobs: Vec<&str> = RUN_FLAGS
-        .into_iter()
-        .filter(|&f| f != "--variant")
-        .collect();
-    let spec = spec_from_args(
+    let specs = specs_from_args(
         RunSpec::new(Workload::Tatp, Variant::JanusManual),
-        &knobs,
-        &["--variant"],
+        &[],
         &["--dump", "--list-bmos"],
     );
     if flag("--list-bmos") {
@@ -54,16 +52,6 @@ fn main() {
         }
         return;
     }
-    let variants: Vec<Variant> =
-        cli::parse_arg("--variant", cli::list).unwrap_or(vec![spec.variant]);
-    let specs: Vec<RunSpec> = variants
-        .iter()
-        .map(|&v| {
-            let mut s = spec.clone();
-            s.variant = v;
-            s
-        })
-        .collect();
     for result in run_all("janus-cli", specs, &SweepArgs::parse()) {
         if flag("--dump") {
             result
@@ -74,7 +62,7 @@ fn main() {
             println!(
                 "{} [{}] cores={} tx={}: {} cycles, {:.2} tx/Mcycle, \
                  {:.0}% fully pre-executed, {} writes ({} dup)",
-                result.spec.workload,
+                result.spec.subject(),
                 result.spec.variant.label(),
                 result.spec.cores,
                 result.spec.transactions,

@@ -16,8 +16,10 @@
 //! window), `--stacks` (also lint the dependency graph of the configured
 //! stack and of every stack permutation), `--seeded` (inject a deliberate
 //! stale-hint misuse before linting — the CI red-path check), `--fix`
-//! (apply the autofix engine; every fix is re-lint-proven, differentially
-//! checked against the trace oracle, and a regressing fix exits 2),
+//! (apply the autofix engine; every fix must pass
+//! `janus_instrument::misuse::gate_fix`: it is re-lint-proven and
+//! differentially checked against the trace oracle, and a rejected fix
+//! exits 2),
 //! `--dry-run` (with `--fix`: print the unified diff of the rewrite
 //! instead of only the summary), `--tenants N` + `--irb-policy
 //! <shared|banked[:N]|partitioned[:N]>` (compute the static cross-tenant
@@ -34,7 +36,7 @@ use janus_bmo::BmoStack;
 use janus_core::config::{JanusConfig, SystemMode};
 use janus_core::irb::IrbPolicy;
 use janus_instrument::instrument;
-use janus_instrument::misuse::verify_fix_with;
+use janus_instrument::misuse::gate_fix;
 use janus_lint::{
     auto_place, fix_program, irb_bound_for_tenants, lint_permutations, lint_program, lint_stack,
     render_program, seed_stale_hint, unified_diff, LintOptions,
@@ -76,10 +78,6 @@ fn main() {
     let json_out = flag("--json");
     let dry_run = flag("--dry-run");
     let fix = flag("--fix") || dry_run;
-    // CI red-path hook: tamper with the fixed program after the engine ran,
-    // emulating a fix that regresses diagnostics. The verification gates
-    // below must catch it and exit 2.
-    let sabotage = std::env::var("JANUS_FIX_SABOTAGE").is_ok_and(|v| v == "1");
     let stack =
         parse_arg("--bmos", |n, v| named(n, BmoStack::parse(v))).unwrap_or_else(BmoStack::paper);
     let workloads: Vec<Workload> = match arg("--workload").as_deref() {
@@ -131,43 +129,17 @@ fn main() {
         let report = lint_program(&program, &opts);
         let fixed = fix.then(|| {
             let outcome = fix_program(&program, &opts);
-            let mut rewritten = outcome.program.clone();
-            if sabotage {
-                seed_stale_hint(&mut rewritten);
+            match gate_fix(&program, &outcome.program, &outcome.after, &opts) {
+                Ok(recheck) => (outcome, recheck),
+                Err(e) => {
+                    eprintln!("janus-lint --fix: {}: {e} — refusing to emit", w.slug());
+                    std::process::exit(2);
+                }
             }
-            // Gate 1: re-linting the emitted program must reproduce the
-            // engine's own report — a fix that regresses diagnostics (or
-            // any tampering between engine and output) fails here.
-            let recheck = lint_program(&rewritten, &opts);
-            if recheck.diagnostics != outcome.after.diagnostics {
-                eprintln!(
-                    "janus-lint --fix: {}: re-lint of the fixed program disagrees with the \
-                     fix engine ({} vs {} diagnostics) — fix regressed, refusing to emit",
-                    w.slug(),
-                    recheck.diagnostics.len(),
-                    outcome.after.diagnostics.len()
-                );
-                std::process::exit(2);
-            }
-            // Gate 2: differential semantic check against the trace oracle
-            // (Store/Load stream preserved, oracle findings never grow).
-            let v = verify_fix_with(&program, &rewritten, &lat);
-            if !v.ok() {
-                eprintln!(
-                    "janus-lint --fix: {}: oracle verification failed \
-                     (stream_preserved={} oracle {} -> {}) — refusing to emit",
-                    w.slug(),
-                    v.stream_preserved,
-                    v.oracle_before,
-                    v.oracle_after
-                );
-                std::process::exit(2);
-            }
-            (outcome, rewritten, recheck)
         });
 
         match &fixed {
-            Some((_, _, recheck)) => {
+            Some((_, recheck)) => {
                 total_errors += recheck.errors();
                 total_warnings += recheck.warnings();
             }
@@ -178,7 +150,7 @@ fn main() {
         }
 
         if json_out {
-            if let Some((outcome, _, recheck)) = &fixed {
+            if let Some((outcome, recheck)) = &fixed {
                 let mut applied = String::new();
                 for (i, f) in outcome.applied.iter().enumerate() {
                     if i > 0 {
@@ -222,7 +194,7 @@ fn main() {
             for d in &report.diagnostics {
                 println!("  {d}");
             }
-            if let Some((outcome, rewritten, recheck)) = &fixed {
+            if let Some((outcome, recheck)) = &fixed {
                 for f in &outcome.applied {
                     println!("  {f}");
                 }
@@ -236,7 +208,7 @@ fn main() {
                 );
                 if dry_run && !outcome.applied.is_empty() {
                     let before = render_program(&program);
-                    let after = render_program(rewritten);
+                    let after = render_program(&outcome.program);
                     print!(
                         "{}",
                         unified_diff(

@@ -8,7 +8,8 @@
 //!
 //! Flags: the run flags of `janus-cli` (`--workload`, `--variant`,
 //! `--cores N`, `--tx N` (default 40), `--seed N`, `--crc32`, `--scale`,
-//! ...), `--sample N` (counter sample period in cycles for the Chrome
+//! `--tenants N`, `--arrival`, ...; one workload and one variant),
+//! `--sample N` (counter sample period in cycles for the Chrome
 //! counter tracks, default 2000), `--out PATH` (text report; always also
 //! printed to stdout), `--json PATH` (profile JSON,
 //! schema `janus-profile-v1`), `--chrome PATH` (Chrome/Perfetto trace with
@@ -20,7 +21,7 @@
 //! computes analytically. A disagreement means the profiler's causal chain
 //! reconstruction is broken, and the binary refuses to continue.
 
-use janus_bench::cli::{arg, arg_positive, spec_from_args, write_output, RUN_FLAGS};
+use janus_bench::cli::{arg, arg_positive, spec_from_args, write_output};
 use janus_bench::{run, RunSpec, SweepArgs, Variant};
 use janus_core::controller::MemoryController;
 use janus_core::{JanusConfig, SystemMode};
@@ -56,12 +57,7 @@ fn main() {
     let mut base = RunSpec::new(Workload::Tatp, Variant::JanusManual);
     base.transactions = 40;
     base.profile = true;
-    let mut spec = spec_from_args(
-        base,
-        &RUN_FLAGS,
-        &["--sample", "--out", "--json", "--chrome"],
-        &[],
-    );
+    let mut spec = spec_from_args(base, &["--sample", "--out", "--json", "--chrome"], &[]);
     spec.sample_every = Some(arg_positive("--sample").unwrap_or(2000) as u64);
     SweepArgs::parse().apply(std::slice::from_mut(&mut spec));
 
@@ -77,7 +73,7 @@ fn main() {
 
     println!(
         "profiled {} [{}]: {} transactions, {} cycles",
-        result.spec.workload,
+        result.spec.subject(),
         result.spec.variant.label(),
         result.spec.transactions,
         result.report.cycles

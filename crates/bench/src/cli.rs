@@ -3,8 +3,8 @@
 //!
 //! `KNOBS` is the one table that spells a spec as text: each entry ties a
 //! result-changing field to its flag, its JSONL label, one validating
-//! parser and one formatter. Binaries turn their run flags into a spec with
-//! [`spec_from_args`], [`RunSpec::labels`] writes the `spec.*` labels of
+//! parser and one formatter. Binaries turn their run flags into specs with
+//! [`specs_from_args`], [`RunSpec::labels`] writes the `spec.*` labels of
 //! every exported row from it, and [`RunSpec::from_labels`] reads a row back.
 //!
 //! Every bench binary takes `--name value` pairs from `std::env::args`. The
@@ -24,7 +24,7 @@ use janus_trace::MetricValue::{self, Float, Str, U64};
 use janus_workloads::traffic::Arrival;
 
 use crate::{OpenLoopSpec, RunSpec};
-use Flag::{Switch, Value};
+use Flag::{List, Switch, Value};
 
 /// One result-changing field of a [`RunSpec`], spelled as text.
 pub(crate) struct Knob {
@@ -37,7 +37,8 @@ pub(crate) struct Knob {
     pub(crate) parse: fn(&mut RunSpec, &str, &str) -> Result<(), String>,
     /// The label value, `None` where the spec holds its [`RunSpec::new`]
     /// default and the row carries no label. The first seven knobs are
-    /// always labelled, as every published row is.
+    /// always labelled on closed-loop rows; open-loop rows leave out the
+    /// workload and dedup ratio, which an open-loop run never reads.
     pub(crate) format: fn(&RunSpec) -> Option<MetricValue>,
 }
 
@@ -46,18 +47,17 @@ pub(crate) struct Knob {
 pub(crate) enum Flag {
     /// `--flag value`.
     Value(&'static str),
+    /// `--flag a,b,...`: one spec per item.
+    List(&'static str),
     /// A bare `--flag`, which sets the value `1`.
     Switch(&'static str),
-    /// No flag: only sweeps set it.
-    None,
 }
 
 impl Flag {
-    /// The flag's spelling, if it has one.
-    pub(crate) fn name(self) -> Option<&'static str> {
+    /// The flag's spelling.
+    pub(crate) fn name(self) -> &'static str {
         match self {
-            Value(f) | Switch(f) => Some(f),
-            Flag::None => None,
+            Value(f) | List(f) | Switch(f) => f,
         }
     }
 }
@@ -65,13 +65,13 @@ impl Flag {
 /// Every knob, in label order.
 pub(crate) const KNOBS: &[Knob] = &[
     Knob {
-        flag: Value("--workload"),
+        flag: List("--workload"),
         label: "spec.workload",
         parse: |s, n, v| choice(n, v).map(|w| s.workload = w),
-        format: |s| Some(Str(s.workload.slug().into())),
+        format: |s| s.open_loop.is_none().then(|| Str(s.workload.slug().into())),
     },
     Knob {
-        flag: Value("--variant"),
+        flag: List("--variant"),
         label: "spec.variant",
         parse: |s, n, v| choice(n, v).map(|x| s.variant = x),
         format: |s| Some(Str(s.variant.label().into())),
@@ -104,7 +104,7 @@ pub(crate) const KNOBS: &[Knob] = &[
         flag: Value("--dedup"),
         label: "spec.dedup_ratio",
         parse: |s, n, v| number_in(n, v, 0.0..=1.0).map(|x| s.dedup_ratio = x),
-        format: |s| Some(Float(s.dedup_ratio)),
+        format: |s| s.open_loop.is_none().then_some(Float(s.dedup_ratio)),
     },
     Knob {
         flag: Switch("--crc32"),
@@ -160,7 +160,7 @@ pub(crate) const KNOBS: &[Knob] = &[
         format: |s| Some(Str(s.open_loop.as_ref()?.arrival.to_string())),
     },
     Knob {
-        flag: Flag::None,
+        flag: Value("--mix"),
         label: "spec.mix",
         parse: |s, n, v| list(n, v).map(|x| open_loop(s).mix = x),
         format: |s| {
@@ -179,22 +179,6 @@ pub(crate) const KNOBS: &[Knob] = &[
                 .then(|| Str(s.irb_policy.to_string()))
         },
     },
-];
-
-/// The closed-loop run flags `janus-cli` and `janus-prof` share.
-pub const RUN_FLAGS: [&str; 12] = [
-    "--workload",
-    "--variant",
-    "--cores",
-    "--tx",
-    "--size",
-    "--dedup",
-    "--seed",
-    "--crc32",
-    "--scale",
-    "--skew",
-    "--aux",
-    "--bmos",
 ];
 
 /// The open-loop half of `s`, made with one placeholder tenant if the spec
@@ -252,7 +236,7 @@ pub fn named<T, E: fmt::Display>(name: &str, r: Result<T, E>) -> Result<T, Strin
 }
 
 /// `v` as a non-empty comma-separated list of [`choice`]s.
-pub fn list<T: FromStr>(name: &str, v: &str) -> Result<Vec<T>, String>
+fn list<T: FromStr>(name: &str, v: &str) -> Result<Vec<T>, String>
 where
     T::Err: fmt::Display,
 {
@@ -290,41 +274,54 @@ pub fn arg_positive(name: &str) -> Option<usize> {
     parse_arg(name, positive)
 }
 
-/// Checks the process arguments against `flag_names` (flags of `KNOBS`)
-/// plus the binary's own `value_flags` and `bool_flags`
-/// ([`require_known_args`]), then returns `base` with every knob flag
-/// present applied. An invalid value exits with status 2.
-///
-/// # Panics
-///
-/// Panics if a name in `flag_names` is not a `KNOBS` flag.
-pub fn spec_from_args(
-    mut base: RunSpec,
-    flag_names: &[&str],
-    value_flags: &[&str],
-    bool_flags: &[&str],
-) -> RunSpec {
-    let knob = |f: &str| KNOBS.iter().find(|k| k.flag.name() == Some(f));
+/// Checks the process arguments against every `KNOBS` flag plus the
+/// binary's own `value_flags` and `bool_flags` ([`require_known_args`]),
+/// then returns the specs they describe: `base` with every knob flag
+/// present applied, in `KNOBS` order. `--workload` and `--variant` take
+/// comma lists, which make a workload-major grid. An invalid value exits
+/// with status 2.
+pub fn specs_from_args(base: RunSpec, value_flags: &[&str], bool_flags: &[&str]) -> Vec<RunSpec> {
     let (mut values, mut switches) = (value_flags.to_vec(), bool_flags.to_vec());
-    for &f in flag_names {
-        match knob(f).map(|k| k.flag) {
-            Some(Value(_)) => values.push(f),
-            Some(Switch(_)) => switches.push(f),
-            _ => panic!("{f} is not a RunSpec knob flag"),
+    for k in KNOBS {
+        match k.flag {
+            Value(f) | List(f) => values.push(f),
+            Switch(f) => switches.push(f),
         }
     }
     require_known_args(&values, &switches);
-    for &f in flag_names {
-        let k = knob(f).expect("a knob flag");
+    let mut specs = vec![base];
+    for k in KNOBS {
+        let f = k.flag.name();
         let given = match k.flag {
             Switch(_) => flag(f).then(|| "1".to_string()),
             _ => arg(f),
         };
-        if let Some(v) = given {
-            (k.parse)(&mut base, f, &v).unwrap_or_else(|e| usage_error(&e));
-        }
+        let Some(v) = given else { continue };
+        let items: Vec<&str> = match k.flag {
+            List(_) => v.split(',').collect(),
+            _ => vec![&v],
+        };
+        specs = specs
+            .iter()
+            .flat_map(|s| {
+                items.iter().map(|item| {
+                    let mut s = s.clone();
+                    (k.parse)(&mut s, f, item).unwrap_or_else(|e| usage_error(&e));
+                    s
+                })
+            })
+            .collect();
     }
-    base
+    specs
+}
+
+/// [`specs_from_args`] for a binary that runs one spec: a `--workload` or
+/// `--variant` list is a usage error.
+pub fn spec_from_args(base: RunSpec, value_flags: &[&str], bool_flags: &[&str]) -> RunSpec {
+    match <[RunSpec; 1]>::try_from(specs_from_args(base, value_flags, bool_flags)) {
+        Ok([spec]) => spec,
+        Err(_) => usage_error("--workload and --variant take one value here"),
+    }
 }
 
 /// Writes `contents` to `path`, or exits with status 1 naming the path and

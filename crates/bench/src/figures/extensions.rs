@@ -1,18 +1,22 @@
 //! Our extension experiments: design-choice ablations, endurance,
-//! extensibility to five BMOs, §6 misuse detection, and key skew.
+//! extensibility to five BMOs, §6 misuse detection, key skew, the
+//! multi-tenant open-loop sweep and the workload × variant sweep.
 
 use super::{grid, header, print_row, spec};
-use crate::{banner, geomean, run_with_config, speedup, RunResult, RunSpec, Variant};
+use crate::{banner, geomean, run_with_config, speedup, OpenLoopSpec, RunResult, RunSpec, Variant};
 use janus_bmo::wear::StartGap;
 use janus_bmo::BmoStack;
 use janus_core::config::{JanusConfig, SystemMode};
 use janus_core::ir::ProgramBuilder;
-use janus_core::system::{ExecutionReport, System};
+use janus_core::irb::IrbPolicy;
+use janus_core::system::{ExecutionReport, System, TenantReport};
 use janus_instrument::instrument;
 use janus_instrument::misuse::detect_misuse;
 use janus_nvm::line::LINE_BYTES;
 use janus_nvm::{addr::LineAddr, line::Line};
 use janus_sim::rng::SimRng;
+use janus_sim::time::Cycles;
+use janus_workloads::traffic::Arrival;
 use janus_workloads::{generate, Instrumentation, Workload, WorkloadConfig};
 
 /// Runs `spec` through the harness on its configuration as modified by
@@ -478,4 +482,163 @@ pub(super) fn skew(tx: usize, results: &[RunResult]) {
     println!("\nJanus's speedup is insensitive to key skew: pre-executions are consumed");
     println!("within their own transactions, so hot keys cause no additional stale-data");
     println!("or stale-metadata invalidations. (Every run is functionally verified.)");
+}
+
+/// The multi-tenant sweep: {shared, banked:64, partitioned:64} IRB
+/// policies × {1, 4, 16} open-loop tenants × two Poisson arrival rates on
+/// 4 worker cores, tenants running TATP / Hash Table / Queue / TPC-C
+/// round-robin.
+pub(super) fn multicore_specs(tx: usize) -> Vec<RunSpec> {
+    let mix = vec![
+        Workload::Tatp,
+        Workload::HashTable,
+        Workload::Queue,
+        Workload::Tpcc,
+    ];
+    let mut specs = Vec::new();
+    for irb_policy in [
+        IrbPolicy::Shared,
+        IrbPolicy::Banked { per_tenant: 64 },
+        IrbPolicy::Partitioned { quota: 64 },
+    ] {
+        for tenants in [1, 4, 16] {
+            for mean in [40_000, 10_000] {
+                let mut s = spec(Workload::Tatp, Variant::JanusManual, tx);
+                s.cores = 4;
+                s.irb_policy = irb_policy;
+                s.open_loop = Some(OpenLoopSpec {
+                    tenants,
+                    arrival: Arrival::Poisson { mean: Cycles(mean) },
+                    mix: mix.clone(),
+                });
+                specs.push(s);
+            }
+        }
+    }
+    specs
+}
+
+/// Per-tenant arrival→persistence latency, system throughput and the Jain
+/// fairness index across tenants, one row per open-loop spec plus one
+/// line per tenant.
+pub(super) fn multicore(tx: usize, results: &[RunResult]) {
+    let first = &results[0].spec;
+    let mix: Vec<&str> = open_loop(first)
+        .mix
+        .iter()
+        .map(|w| w.name().split(' ').next().unwrap_or_default())
+        .collect();
+    banner(
+        "Multi-tenant open-loop sweep — IRB policy x tenants x arrival rate",
+        &format!(
+            "{} cores; {tx} tx/tenant; mix {}; per-tenant arrival->persistence latency",
+            first.cores,
+            mix.join("/")
+        ),
+    );
+    let widths = [16, 8, 15, 9, 6, 11, 11, 11];
+    header(
+        &[
+            "irb-policy",
+            "tenants",
+            "arrival",
+            "tx/Mcyc",
+            "jain",
+            "p50",
+            "p99",
+            "p999",
+        ],
+        &widths,
+    );
+    for r in results {
+        let ol = open_loop(&r.spec);
+        let worst = |f: fn(&TenantReport) -> Cycles| {
+            r.report.tenants.iter().map(f).max().unwrap_or(Cycles::ZERO)
+        };
+        print_row(
+            &[
+                r.spec.irb_policy.to_string(),
+                ol.tenants.to_string(),
+                ol.arrival.to_string(),
+                format!("{:.1}", r.report.tx_per_mcycle()),
+                format!("{:.3}", r.report.jain_fairness()),
+                worst(|t| t.p50).to_string(),
+                worst(|t| t.p99).to_string(),
+                worst(|t| t.p999).to_string(),
+            ],
+            &widths,
+        );
+        // Per-tenant tail detail (the JSONL rows carry the same numbers
+        // as tenant{i}.* keys).
+        for (i, t) in r.report.tenants.iter().enumerate() {
+            println!(
+                "    tenant {i:>2} [{:>10}]  done {:>3}/{:<3}  p50 {:>8}  p99 {:>8}  p999 {:>8}  max {:>8}",
+                ol.mix[i % ol.mix.len()].slug(),
+                t.completed,
+                t.dispatched,
+                t.p50,
+                t.p99,
+                t.p999,
+                t.max,
+            );
+        }
+    }
+    println!("\ncolumns: worst-tenant latency percentiles (cycles); jain = fairness index over");
+    println!("per-tenant service rates (1.0 = perfectly fair)");
+}
+
+fn open_loop(s: &RunSpec) -> &OpenLoopSpec {
+    s.open_loop.as_ref().expect("an open-loop spec")
+}
+
+/// The default workload × variant grid: every workload under the
+/// serialized, parallelized, manual and compiler-pass variants.
+pub(super) fn sweep_specs(tx: usize) -> Vec<RunSpec> {
+    let variants = [
+        Variant::Serialized,
+        Variant::Parallelized,
+        Variant::JanusManual,
+        Variant::JanusAuto,
+    ];
+    grid(&Workload::all(), &variants, tx)
+}
+
+/// Cycles, throughput and speedup over each workload's first variant, one
+/// row per point of a workload-major grid.
+pub(super) fn sweep(tx: usize, results: &[RunResult]) {
+    let first = &results[0].spec;
+    let variants = results
+        .iter()
+        .take_while(|r| r.spec.workload == first.workload)
+        .count();
+    banner(
+        "janus-sweep — workload x variant grid",
+        &format!(
+            "{} workloads x {variants} variants; {tx} tx/core; {} core(s); seed {}; \
+             speedup vs {}",
+            results.len() / variants,
+            first.cores,
+            first.seed,
+            first.variant.label(),
+        ),
+    );
+    let widths = [12, 18, 12, 9, 9];
+    header(
+        &["workload", "variant", "cycles", "tx/Mcyc", "speedup"],
+        &widths,
+    );
+    for chunk in results.chunks(variants) {
+        for r in chunk {
+            print_row(
+                &[
+                    r.spec.workload.slug().into(),
+                    r.spec.variant.label().into(),
+                    r.report.cycles.0.to_string(),
+                    format!("{:.1}", r.report.tx_per_mcycle()),
+                    format!("{:.2}x", speedup(&chunk[0], r)),
+                ],
+                &widths,
+            );
+        }
+    }
 }

@@ -1,6 +1,7 @@
 //! The figure registry: every table and figure of the paper's evaluation
-//! (Tables 1/4, Figs. 1/3/6/9–14, §5.2.7) and our extension experiments,
-//! as one list the `janus-fig` binary runs.
+//! (Tables 1/4, Figs. 1/3/6/9–14, §5.2.7), our extension experiments and
+//! the default multi-tenant and workload × variant sweeps, as one list the
+//! `janus-fig` binary runs.
 //!
 //! An entry is a spec grid plus a renderer. `janus-fig <name>` runs the
 //! grid through [`crate::run_all`] (so `--jobs`, the twin-path switches
@@ -48,6 +49,8 @@ pub static ALL: &[Figure] = &[
     fig("extended", 120, extended_specs, extended),
     fig("misuse", 0, no_specs, misuse),
     fig("skew", 150, skew_specs, skew),
+    fig("multicore", 40, multicore_specs, multicore),
+    fig("janus-sweep", 60, sweep_specs, sweep),
 ];
 
 const fn fig(

@@ -283,6 +283,18 @@ impl RunSpec {
             .collect()
     }
 
+    /// What the spec runs, for one-line summaries: the workload, or the
+    /// open-loop tenants and their mix.
+    pub fn subject(&self) -> String {
+        match &self.open_loop {
+            Some(ol) => {
+                let mix: Vec<&str> = ol.mix.iter().map(|w| w.slug()).collect();
+                format!("{} tenants of {}", ol.tenants, mix.join(","))
+            }
+            None => self.workload.to_string(),
+        }
+    }
+
     /// The `spec.*` labels that identify this spec in a results row, one
     /// per `cli::KNOBS` entry that is not at its default.
     pub fn labels(&self) -> MetricsRegistry {
@@ -719,15 +731,34 @@ mod tests {
 
     #[test]
     fn knob_flags_and_labels_are_unique() {
-        let flags: Vec<&str> = cli::KNOBS.iter().filter_map(|k| k.flag.name()).collect();
+        let flags: Vec<&str> = cli::KNOBS.iter().map(|k| k.flag.name()).collect();
         let labels: Vec<&str> = cli::KNOBS.iter().map(|k| k.label).collect();
         for names in [&flags, &labels] {
             let unique: std::collections::BTreeSet<&&str> = names.iter().collect();
             assert_eq!(unique.len(), names.len(), "{names:?}");
         }
-        for f in cli::RUN_FLAGS {
-            assert!(flags.contains(&f), "{f} is not a knob flag");
-        }
+    }
+
+    #[test]
+    fn open_loop_rows_label_only_the_fields_the_run_reads() {
+        // An open-loop run takes its workloads from the mix and never reads
+        // `workload` or `dedup_ratio`, so they must not tell rows apart.
+        let open = |workload, dedup_ratio| {
+            let mut s = RunSpec::new(workload, Variant::JanusManual);
+            s.dedup_ratio = dedup_ratio;
+            s.open_loop = Some(OpenLoopSpec {
+                tenants: 4,
+                arrival: Arrival::Poisson {
+                    mean: janus_sim::time::Cycles(10_000),
+                },
+                mix: vec![Workload::Queue, Workload::Tpcc],
+            });
+            s
+        };
+        let (a, b) = (open(Workload::Tatp, 0.5), open(Workload::BTree, 0.9));
+        assert_eq!(a.labels().to_json(), b.labels().to_json());
+        assert_eq!(a.labels().get("spec.workload"), None);
+        assert_eq!(a.labels().get("spec.dedup_ratio"), None);
     }
 
     #[test]

@@ -78,8 +78,6 @@ fn assert_usage_error(exe: &str, args: &[&str], jobs_env: Option<&str>, needle: 
 fn malformed_shared_values_are_usage_errors() {
     let fig = env!("CARGO_BIN_EXE_janus-fig");
     let cli = env!("CARGO_BIN_EXE_janus-cli");
-    let sweep = env!("CARGO_BIN_EXE_janus-sweep");
-    let multicore = env!("CARGO_BIN_EXE_multicore");
     let prof = env!("CARGO_BIN_EXE_janus-prof");
     let lint = env!("CARGO_BIN_EXE_janus-lint");
     let cases: &[(&str, &[&str], Option<&str>)] = &[
@@ -91,18 +89,14 @@ fn malformed_shared_values_are_usage_errors() {
         (fig, &["table1"], Some("abc")),
         (fig, &["table1"], Some("0")),
         (fig, &["table1"], Some("")),
-        (sweep, &["--workloads", "tatp"], Some("-2")),
+        (cli, &["--workload", "tatp,queue"], Some("-2")),
         (cli, &["--tx", "abc"], None),
         (cli, &["--scale", "abc"], None),
         // Zero counts.
         (cli, &["--cores", "0"], None),
         (cli, &["--tx", "0"], None),
         (cli, &["--scale", "0"], None),
-        (sweep, &["--cores", "0"], None),
-        (sweep, &["--tx", "0"], None),
-        (multicore, &["--cores", "0"], None),
-        (multicore, &["--tx", "0"], None),
-        (multicore, &["--tenants", "0"], None),
+        (cli, &["--tenants", "0"], None),
         (prof, &["--cores", "0"], None),
         (prof, &["--tx", "0"], None),
         (prof, &["--sample", "0"], None),
@@ -132,6 +126,11 @@ fn malformed_or_out_of_range_knobs_are_usage_errors() {
         (&["--skew", "nan"], "--skew requires a value in"),
         (&["--aux", "2"], "--aux requires a value in"),
         (&["--aux", "nan"], "--aux requires a value in"),
+        // Every entry of a list is checked.
+        (&["--workload", "tatp,bogus"], "unknown workload \"bogus\""),
+        (&["--variant", "janus,"], "unknown variant \"\""),
+        (&["--mix", "queue,bogus"], "unknown workload \"bogus\""),
+        (&["--arrival", "poisson"], "bad arrival spec"),
     ];
     for &(args, needle) in cases {
         assert_usage_error(cli, args, None, needle);
@@ -166,8 +165,14 @@ fn unknown_figure_or_argument_is_a_usage_error() {
         (fig, &["--list", "x"]),
         // `--jobs` is the only fan-out flag; there is no process-level one.
         (fig, &["fig9", "--shards", "2"]),
-        // Causal profiles come from `janus-prof --out`.
+        // Ad-hoc pins of a committed grid are `janus-cli` runs.
+        (fig, &["multicore", "--tenants", "4"]),
+        // Causal profiles come from `janus-prof --out`, one spec at a time.
         (env!("CARGO_BIN_EXE_janus-cli"), &["--profile", "x"]),
+        (
+            env!("CARGO_BIN_EXE_janus-prof"),
+            &["--variant", "janus,auto"],
+        ),
     ] {
         let out = run_bin(exe, args, None);
         assert_eq!(out.status.code(), Some(2), "{args:?} must be a usage error");
@@ -182,12 +187,15 @@ fn every_binary_accepts_the_shared_variant_vocabulary() {
     for (exe, args) in [
         (
             env!("CARGO_BIN_EXE_janus-cli"),
-            ["--variant", "janus-manual"],
+            &["--variant", "janus-manual"][..],
         ),
-        (env!("CARGO_BIN_EXE_janus-sweep"), ["--variants", "janus"]),
-        (env!("CARGO_BIN_EXE_janus-prof"), ["--variant", "pgo"]),
+        (
+            env!("CARGO_BIN_EXE_janus-cli"),
+            &["--variant", "janus", "--workload", "queue,tatp"],
+        ),
+        (env!("CARGO_BIN_EXE_janus-prof"), &["--variant", "pgo"]),
     ] {
-        let out = run_bin(exe, &[args[0], args[1], "--tx", "4"], None);
+        let out = run_bin(exe, &[args, &["--tx", "4"]].concat(), None);
         assert!(
             out.status.success(),
             "{exe} {args:?}: {}",

@@ -113,18 +113,18 @@ fn assert_jobs_identity(exe: &str, args: &[&str], tag: &str) {
 }
 
 #[test]
-fn janus_sweep_is_byte_identical_across_job_counts() {
+fn janus_cli_grid_is_byte_identical_across_job_counts() {
     assert_jobs_identity(
-        env!("CARGO_BIN_EXE_janus-sweep"),
+        env!("CARGO_BIN_EXE_janus-cli"),
         &[
-            "--workloads",
+            "--workload",
             "tatp,hash_table",
-            "--variants",
+            "--variant",
             "serialized,janus-manual",
             "--tx",
             "16",
         ],
-        "sweep",
+        "cli-grid",
     );
 }
 
@@ -140,11 +140,10 @@ fn janus_fig_is_byte_identical_across_job_counts() {
 #[test]
 fn multicore_open_loop_is_byte_identical_across_job_counts() {
     // The open-loop multi-tenant front end carries per-tenant report
-    // sections; pin one dimension so the sweep stays small (3 policies x
-    // 2 arrival rates = 6 specs).
+    // sections.
     assert_jobs_identity(
-        env!("CARGO_BIN_EXE_multicore"),
-        &["--tenants", "4", "--cores", "2", "--tx", "8"],
+        env!("CARGO_BIN_EXE_janus-fig"),
+        &["multicore", "--tx", "8"],
         "multicore",
     );
 }

@@ -1,7 +1,7 @@
 //! Black-box tests for the `janus-lint` binary: flag validation, `--fix`
-//! determinism and exit codes, the sabotage red path (a fix that regresses
-//! must exit 2), the `--dry-run` unified diff, and the `--tenants`
-//! IRB-bound section.
+//! determinism and exit codes, the `--dry-run` unified diff, and the
+//! `--tenants` IRB-bound section. The red path of the `--fix` gates is
+//! tested on the library function, `janus_instrument::misuse::gate_fix`.
 
 use std::process::{Command, Output};
 
@@ -59,21 +59,6 @@ fn seeded_fix_lints_clean_and_is_byte_deterministic() {
         .output()
         .expect("spawn janus-lint");
     assert_eq!(stdout(&c), text, "JANUS_JOBS changed --fix output");
-}
-
-#[test]
-fn sabotaged_fix_trips_the_relint_gate() {
-    let out = Command::new(env!("CARGO_BIN_EXE_janus-lint"))
-        .args(["--workload", "queue", "--tx", "6", "--seeded", "--fix"])
-        .env("JANUS_FIX_SABOTAGE", "1")
-        .output()
-        .expect("spawn janus-lint");
-    assert_eq!(out.status.code(), Some(2));
-    assert!(
-        String::from_utf8_lossy(&out.stderr).contains("refusing to emit"),
-        "{}",
-        String::from_utf8_lossy(&out.stderr)
-    );
 }
 
 #[test]

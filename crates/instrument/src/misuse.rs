@@ -24,11 +24,12 @@
 //! (see the property tests in this crate).
 
 use std::collections::HashMap;
+use std::fmt;
 
 use janus_bmo::latency::BmoLatencies;
 use janus_bmo::subop::DepGraph;
 use janus_core::ir::{Op, PreObjId, Program};
-use janus_lint::{LintCode, LintOptions, LintReport};
+use janus_lint::{lint_program, LintCode, LintOptions, LintReport};
 use janus_nvm::addr::LineAddr;
 use janus_nvm::line::Line;
 use janus_sim::time::Cycles;
@@ -242,6 +243,63 @@ pub fn verify_fix_with(original: &Program, fixed: &Program, lat: &BmoLatencies) 
     }
 }
 
+/// Why an autofix rewrite is refused.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub enum FixRejection {
+    /// Re-linting the rewritten program does not reproduce the fix
+    /// engine's own report: the fix regressed diagnostics, or the program
+    /// changed between the engine and the output.
+    Relint {
+        /// Diagnostics the re-lint found.
+        relint: usize,
+        /// Diagnostics the engine reported.
+        engine: usize,
+    },
+    /// The differential check against the trace oracle failed.
+    Oracle(FixVerification),
+}
+
+impl fmt::Display for FixRejection {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            FixRejection::Relint { relint, engine } => write!(
+                f,
+                "re-lint of the fixed program disagrees with the fix engine \
+                 ({relint} vs {engine} diagnostics)"
+            ),
+            FixRejection::Oracle(v) => write!(
+                f,
+                "oracle verification failed (stream_preserved={} oracle {} -> {})",
+                v.stream_preserved, v.oracle_before, v.oracle_after
+            ),
+        }
+    }
+}
+
+/// The two gates a rewrite must pass before `janus-lint --fix` emits it:
+/// re-linting `fixed` must reproduce `engine`, the fix engine's report of
+/// its own output, and [`verify_fix_with`] must pass on `original` →
+/// `fixed` at the options' latencies. Returns the re-lint report.
+pub fn gate_fix(
+    original: &Program,
+    fixed: &Program,
+    engine: &LintReport,
+    opts: &LintOptions,
+) -> Result<LintReport, FixRejection> {
+    let relint = lint_program(fixed, opts);
+    if relint.diagnostics != engine.diagnostics {
+        return Err(FixRejection::Relint {
+            relint: relint.diagnostics.len(),
+            engine: engine.diagnostics.len(),
+        });
+    }
+    let v = verify_fix_with(original, fixed, &opts.latencies);
+    if !v.ok() {
+        return Err(FixRejection::Oracle(v));
+    }
+    Ok(relint)
+}
+
 #[derive(Clone, Debug)]
 struct Hint {
     pre_index: usize,
@@ -434,6 +492,50 @@ mod tests {
 
     fn both_ways(p: &Program) -> (MisuseReport, MisuseReport) {
         (detect_misuse(p), trace_oracle(p))
+    }
+
+    #[test]
+    fn fix_gate_passes_the_engine_output_and_rejects_tampering() {
+        use janus_lint::{fix_program, seed_stale_hint};
+        let mut b = ProgramBuilder::new();
+        let obj = b.pre_init();
+        b.pre_both(obj, LineAddr(1), vec![Line::splat(1)]);
+        b.compute(5000);
+        b.store(LineAddr(1), Line::splat(1));
+        b.clwb(LineAddr(1));
+        b.fence();
+        let mut seeded = b.build();
+        seed_stale_hint(&mut seeded);
+        let opts = LintOptions::default();
+        let outcome = fix_program(&seeded, &opts);
+        let relint = gate_fix(&seeded, &outcome.program, &outcome.after, &opts).unwrap();
+        assert_eq!(relint.diagnostics, outcome.after.diagnostics);
+
+        // A program changed after the engine ran no longer re-lints to the
+        // engine's report.
+        let mut tampered = outcome.program.clone();
+        seed_stale_hint(&mut tampered);
+        let err = gate_fix(&seeded, &tampered, &outcome.after, &opts).unwrap_err();
+        assert!(
+            matches!(err, FixRejection::Relint { relint, engine } if relint > engine),
+            "{err}"
+        );
+
+        // A rewrite that changes a stored value fails the oracle gate even
+        // when the report it is checked against is its own.
+        let mut tampered = outcome.program.clone();
+        for op in &mut tampered.ops {
+            if let Op::Store { value, .. } = op {
+                *value = Line::splat(7);
+            }
+        }
+        let own = lint_program(&tampered, &opts);
+        let err = gate_fix(&seeded, &tampered, &own, &opts).unwrap_err();
+        assert!(
+            matches!(&err, FixRejection::Oracle(v) if !v.stream_preserved),
+            "{err}"
+        );
+        assert!(err.to_string().contains("stream_preserved=false"), "{err}");
     }
 
     #[test]

@@ -252,8 +252,8 @@ pub fn generate_tenants(specs: &[TenantSpec], seed: u64) -> Vec<TenantTraffic> {
 
 /// FNV-1a fingerprint of a stream set (arrival times and operation
 /// streams). Generation is independent of core count and job fan-out, so
-/// CI diffs this digest across `--cores` values to prove tenant placement
-/// cannot change the traffic.
+/// `tests/multitenant.rs` compares this digest across core counts to prove
+/// tenant placement cannot change the traffic.
 pub fn digest(streams: &[TenantStream]) -> u64 {
     const OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
     const PRIME: u64 = 0x0000_0100_0000_01b3;

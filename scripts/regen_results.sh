@@ -2,8 +2,10 @@
 # Regenerates every figure/table result under results/, in both formats:
 #
 #   results/<name>.txt        — the human-readable table of every
-#                               `janus-fig --list` entry and of the
-#                               janus-lint, multicore and janus-sweep tools
+#                               `janus-fig --list` entry (the paper's
+#                               figures and tables, the extension
+#                               experiments, and the default multicore and
+#                               janus-sweep grids) and of the janus-lint tool
 #   results/json/<name>.jsonl — one JSON object per simulation run, emitted
 #                               by the janus-bench harness via the
 #                               JANUS_RESULTS_JSON_DIR sink
@@ -37,7 +39,7 @@ set -eu
 
 cd "$(dirname "$0")/.."
 
-TOOLS="janus-lint multicore janus-sweep"
+TOOLS="janus-lint"
 
 echo "==> building janus-bench (release, locked, offline)"
 cargo build --release --locked --offline -p janus-bench

@@ -10,7 +10,7 @@ use janus::core::tenant::TenantStream;
 use janus::nvm::addr::LineAddr;
 use janus::nvm::line::Line;
 use janus::sim::time::Cycles;
-use janus::workloads::traffic::{generate_tenants, Arrival, TenantSpec};
+use janus::workloads::traffic::{digest, generate_tenants, Arrival, TenantSpec};
 use janus::workloads::Workload;
 
 fn specs(tenants: usize, mean: u64) -> Vec<TenantSpec> {
@@ -103,6 +103,29 @@ fn core_count_does_not_change_the_traffic_only_the_timing() {
         worst(&four),
         worst(&one)
     );
+
+    // Tenant placement never feeds back into generation: at every
+    // (tenants, arrival) point of the committed `multicore` grid the
+    // streams are a pure function of (spec, seed), so their digest is the
+    // same on 1 core and on 4.
+    let fig = janus_bench::figures::find("multicore").expect("registered");
+    let points: Vec<_> = (fig.specs)(fig.tx)
+        .into_iter()
+        .filter(|s| s.irb_policy == IrbPolicy::Shared)
+        .collect();
+    assert_eq!(points.len(), 6, "3 tenant counts x 2 arrival rates");
+    for spec in points {
+        let digest_at = |cores| {
+            let mut s = spec.clone();
+            s.cores = cores;
+            let streams: Vec<TenantStream> = generate_tenants(&s.tenant_specs(), s.seed)
+                .into_iter()
+                .map(|t| t.stream)
+                .collect();
+            digest(&streams)
+        };
+        assert_eq!(digest_at(1), digest_at(4), "{:?}", spec.open_loop);
+    }
 }
 
 #[test]
